@@ -21,10 +21,9 @@ from .model import (
     total_hamiltonian,
 )
 from .dynamics import (
+    Generator,
     NonUniqueSteadyStateError,
     Trajectory,
-    adjoint_generator,
-    gkls_generator,
     integrate,
     steady_state,
 )
@@ -69,10 +68,9 @@ __all__ = [
     "load_scenario",
     "parse_scenario",
     "total_hamiltonian",
+    "Generator",
     "NonUniqueSteadyStateError",
     "Trajectory",
-    "adjoint_generator",
-    "gkls_generator",
     "integrate",
     "steady_state",
     "Decomposition",

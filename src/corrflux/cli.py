@@ -20,7 +20,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import fields, make_dataclass
 
 import numpy as np
 
@@ -29,45 +29,21 @@ from .linalg import HermiticityError, ShapeError, frobenius_norm
 
 __all__ = ["main", "RunRecord", "COLUMNS"]
 
-COLUMNS = (
-    "t",
-    "U",
-    "U_A",
-    "U_B",
-    "U_prod",
-    "U_chi",
-    "dU_prod_dt",
-    "dU_chi_dt",
-    "dU_dt",
-    "chi_norm",
-    "trace_drift",
-    "min_eig",
-    "cond_i_resid",
-    "cond_ii_resid",
-)
+_RUN_COLUMNS = ("chi_norm", "trace_drift", "min_eig", "cond_i_resid", "cond_ii_resid")
+COLUMNS = ("t", *(f.name for f in fields(energetics.EnergyLedger)), *_RUN_COLUMNS)
 
 DEFAULT_SAMPLING_SEED = 0
 SIGN_ZERO_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One output row: every ledger entry plus run diagnostics."""
-
-    t: float
-    U: float
-    U_A: float
-    U_B: float
-    U_prod: float
-    U_chi: float
-    dU_prod_dt: float
-    dU_chi_dt: float
-    dU_dt: float
-    chi_norm: float
-    trace_drift: float
-    min_eig: float
-    cond_i_resid: float
-    cond_ii_resid: float
+RunRecord = make_dataclass(
+    "RunRecord",
+    [(name, float) for name in COLUMNS],
+    frozen=True,
+    namespace={
+        "__module__": __name__,
+        "__doc__": "One output row: the time, every EnergyLedger entry, then the run diagnostics.",
+    },
+)
 
 
 def compute_records(system: model.BipartiteSystem, trajectory: dynamics.Trajectory) -> list[RunRecord]:
@@ -80,14 +56,7 @@ def compute_records(system: model.BipartiteSystem, trajectory: dynamics.Trajecto
         records.append(
             RunRecord(
                 t=float(trajectory.times[i]),
-                U=ledger.U,
-                U_A=ledger.U_A,
-                U_B=ledger.U_B,
-                U_prod=ledger.U_prod,
-                U_chi=ledger.U_chi,
-                dU_prod_dt=ledger.dU_prod_dt,
-                dU_chi_dt=ledger.dU_chi_dt,
-                dU_dt=ledger.dU_dt,
+                **vars(ledger),
                 chi_norm=frobenius_norm(chi),
                 trace_drift=float(trajectory.trace_drift[i]),
                 min_eig=float(trajectory.min_eigenvalue[i]),
@@ -117,7 +86,8 @@ def write_records_json(records, path) -> None:
         fh.write("\n")
 
 
-def _execute_run(scenario: model.Scenario, output, fmt: str) -> int:
+def _execute_run(scenario: model.Scenario, output, fmt: str) -> tuple[int, list[RunRecord]]:
+    """Integrate, write the table and return (exit status, records)."""
     trajectory = dynamics.integrate(
         scenario.system,
         scenario.initial_state,
@@ -128,12 +98,12 @@ def _execute_run(scenario: model.Scenario, output, fmt: str) -> int:
     records = compute_records(scenario.system, trajectory)
     writer = write_records_csv if fmt == "csv" else write_records_json
     writer(records, output)
-    return 2 if trajectory.breached else 0
+    return (2 if trajectory.breached else 0), records
 
 
 def _cmd_run(args) -> int:
     scenario = model.load_scenario(args.scenario)
-    return _execute_run(scenario, args.output, args.format)
+    return _execute_run(scenario, args.output, args.format)[0]
 
 
 _PARAM_ALIASES = {"c": ("initial_state", "c"), "g": ("V", "g")}
@@ -197,11 +167,9 @@ def _cmd_sweep(args) -> int:
         _set_scenario_param(document, args.param, float(value))
         scenario = model.parse_scenario(document)
         out_path = os.path.join(args.output_dir, f"sweep_{safe_param}_{index}.csv")
-        status = max(status, _execute_run(scenario, out_path, "csv"))
-        with open(out_path, "r", encoding="utf-8") as fh:
-            rows = fh.read().strip().split("\n")[1:]
-        u_chi_col = COLUMNS.index("U_chi")
-        delta = float(rows[-1].split(",")[u_chi_col]) - float(rows[0].split(",")[u_chi_col])
+        point_status, records = _execute_run(scenario, out_path, "csv")
+        status = max(status, point_status)
+        delta = records[-1].U_chi - records[0].U_chi
         summary.append(f"{_fmt(value)},{_fmt(delta)},{_sign(delta)}")
     with open(os.path.join(args.output_dir, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(summary) + "\n")
@@ -246,7 +214,7 @@ def _cmd_example(args) -> int:
             json.dump(document, fh, indent=2)
             fh.write("\n")
     scenario = model.parse_scenario(document)
-    return _execute_run(scenario, args.output, args.format)
+    return _execute_run(scenario, args.output, args.format)[0]
 
 
 def build_parser() -> argparse.ArgumentParser:

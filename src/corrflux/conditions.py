@@ -49,8 +49,8 @@ def commutator_residual(system: model.BipartiteSystem, rho: np.ndarray) -> float
 
 def adjoint_residual(system: model.BipartiteSystem) -> float:
     """Residual (ii), state independent: ||D#_A[H] + D#_B[H]||_F."""
-    H = model.total_hamiltonian(system)
-    return frobenius_norm(dynamics.adjoint_generator(system, H))
+    generator = dynamics.Generator(system)
+    return frobenius_norm(generator.adjoint(generator.H))
 
 
 @dataclass(frozen=True)
@@ -229,10 +229,8 @@ def valid_c_range(
     """Exact positivity window for thermal-product states with a zz tilt.
 
     For pi(beta, omega) = diag(p0, p1) with p0 = exp(-beta omega)/Z,
-    p1 = exp(+beta omega)/Z, Z = 2 cosh(beta omega), the state
-    pi_A (x) pi_B + c sz (x) sz has diagonal entries
-    (pA0 pB0 + c, pA0 pB1 - c, pA1 pB0 - c, pA1 pB1 + c), so positivity
-    holds exactly on [-min(pA0 pB0, pA1 pB1), min(pA0 pB1, pA1 pB0)].
+    p1 = exp(+beta omega)/Z, Z = 2 cosh(beta omega), the window is
+    model.zz_positivity_window of the two population vectors.
     Note the bounds carry the 1/(Z_A Z_B) normalization of the populations.
     """
     for name, value in (("beta_A", beta_A), ("omega_A", omega_A), ("beta_B", beta_B), ("omega_B", omega_B)):
@@ -243,8 +241,6 @@ def valid_c_range(
         z = 2.0 * np.cosh(x)
         return float(np.exp(-x) / z), float(np.exp(x) / z)
 
-    pA0, pA1 = populations(beta_A * omega_A)
-    pB0, pB1 = populations(beta_B * omega_B)
-    c_min = -min(pA0 * pB0, pA1 * pB1)
-    c_max = min(pA0 * pB1, pA1 * pB0)
-    return c_min, c_max
+    return model.zz_positivity_window(
+        populations(beta_A * omega_A), populations(beta_B * omega_B)
+    )

@@ -175,7 +175,8 @@ def energy_ledger(system: model.BipartiteSystem, rho: np.ndarray) -> EnergyLedge
     rho = np.asarray(rho, dtype=complex)
     dec = decompose(rho, shape)
     eff = effective_hamiltonians(system, dec)
-    H = model.total_hamiltonian(system)
+    generator = dynamics.Generator(system)
+    H = generator.H
     product = kron(dec.rho_A, dec.rho_B)
 
     U = _real(np.trace(rho @ H), "U")
@@ -184,7 +185,7 @@ def energy_ledger(system: model.BipartiteSystem, rho: np.ndarray) -> EnergyLedge
     U_prod = _real(np.trace(product @ H), "U_prod")
     U_chi = _real(np.trace(dec.chi @ system.V), "U_chi")
 
-    adj_H = dynamics.adjoint_generator(system, H)
+    adj_H = generator.adjoint(H)
     dU_dt = _real(np.trace(adj_H @ rho), "dU_dt")
     local_sum = embed_A(eff.H_hat_A, shape) + embed_B(eff.H_hat_B, shape)
     coherent = -1j * np.trace(commutator(local_sum, system.V) @ dec.chi)

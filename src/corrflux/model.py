@@ -18,6 +18,7 @@ line front end.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = [
     "detailed_balance_residual",
     "gibbs_state",
     "require_density_matrix",
+    "zz_positivity_window",
     "Scenario",
     "matrix_from_json",
     "matrix_to_json",
@@ -317,6 +319,18 @@ def require_density_matrix(
     return a
 
 
+def zz_positivity_window(p_A, p_B) -> tuple[float, float]:
+    """Range of c for which diag(p_A) (x) diag(p_B) + c sz (x) sz stays positive.
+
+    The state's diagonal is (pA0 pB0 + c, pA0 pB1 - c, pA1 pB0 - c, pA1 pB1 + c),
+    so positivity holds exactly on
+    [-min(pA0 pB0, pA1 pB1), min(pA0 pB1, pA1 pB0)].
+    """
+    c_min = -min(p_A[0] * p_B[0], p_A[1] * p_B[1])
+    c_max = min(p_A[0] * p_B[1], p_A[1] * p_B[0])
+    return float(c_min), float(c_max)
+
+
 # ---------------------------------------------------------------------------
 # JSON scenario schema
 #
@@ -363,13 +377,30 @@ def matrix_from_json(value, dim: int, where: str) -> np.ndarray:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
         ):
             raise ValidationError(f"{where}[{i}]: expected an [re, im] pair of numbers")
-        flat[i] = complex(entry[0], entry[1])
+        try:
+            number = complex(entry[0], entry[1])
+        except OverflowError:
+            number = complex(math.inf)
+        if not (math.isfinite(number.real) and math.isfinite(number.imag)):
+            raise ValidationError(f"{where}[{i}]: expected a finite number, got {entry!r}")
+        flat[i] = number
     return flat.reshape(dim, dim)
 
 
 def matrix_to_json(m) -> list:
     a = np.asarray(m, dtype=complex).reshape(-1)
     return [[float(x.real), float(x.imag)] for x in a]
+
+
+def _finite(value, where: str) -> float:
+    """float(value) for a finite int or float; json.load also admits NaN and +-Infinity."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _require_number(doc: dict, key: str, where: str, default=None) -> float:
@@ -380,7 +411,7 @@ def _require_number(doc: dict, key: str, where: str, default=None) -> float:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}.{key}: expected a number, got {value!r}")
-    return float(value)
+    return _finite(value, f"{where}.{key}")
 
 
 def _parse_interaction(raw, shape: BipartiteShape) -> np.ndarray:
@@ -478,10 +509,7 @@ def _parse_initial_state(doc: dict, H_A, H_B, shape: BipartiteShape) -> np.ndarr
         c = _require_number(raw, "c", "initial_state")
         pi_A = gibbs_state(H_A, _bath_beta_for_side(doc, "A"))
         pi_B = gibbs_state(H_B, _bath_beta_for_side(doc, "B"))
-        pA = np.diag(pi_A).real
-        pB = np.diag(pi_B).real
-        c_min = -min(pA[0] * pB[0], pA[1] * pB[1])
-        c_max = min(pA[0] * pB[1], pA[1] * pB[0])
+        c_min, c_max = zz_positivity_window(np.diag(pi_A).real, np.diag(pi_B).real)
         if not (c_min <= c <= c_max):
             raise ValidationError(
                 f"initial_state.c = {c:.6g} is outside the positivity range "

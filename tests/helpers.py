@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from corrflux.dynamics import Generator
 from corrflux.linalg import BipartiteShape, random_hermitian
 from corrflux.model import (
     BipartiteSystem,
@@ -17,6 +18,25 @@ def nondegenerate_hermitian(rng, dim, gap=1e-3):
         H = random_hermitian(dim, rng)
         if dim == 1 or float(np.diff(np.linalg.eigvalsh(H)).min()) > gap:
             return H
+
+
+def dissipative_part(system, side=None):
+    """Generator of the system's channels on one side (all for None) with H = 0.
+
+    Applied to rho it gives sum_k gamma_k (L rho L† - (1/2){L†L, rho}).
+    """
+    zero_A = np.zeros((system.shape.d_A,) * 2, dtype=complex)
+    zero_B = np.zeros((system.shape.d_B,) * 2, dtype=complex)
+    channels = tuple(ch for ch in system.channels if side in (None, ch.bath_tag))
+    return Generator(
+        BipartiteSystem(
+            shape=system.shape,
+            H_A=zero_A,
+            H_B=zero_B,
+            V=np.zeros((system.shape.dim,) * 2, dtype=complex),
+            channels=channels,
+        )
+    )
 
 
 def random_system(rng, d_A=2, d_B=2, channels_per_side=2, alpha_A=None):

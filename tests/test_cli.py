@@ -157,6 +157,30 @@ def test_run_diagnostic_breach_exits_2_but_writes(tmp_path):
     assert min(column(rows, "min_eig")) < -1e-6
 
 
+def test_run_rejects_non_finite_number(tmp_path, capsys):
+    scenario, doc = write_scenario(tmp_path)
+    doc["V"]["g"] = float("nan")
+    scenario.write_text(json.dumps(doc), encoding="utf-8")  # written as the literal NaN
+    assert cli.main(["run", str(scenario), "--output", str(tmp_path / "o.csv")]) == 1
+    assert "V.g: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_divergence_exits_2_and_writes_rows(tmp_path):
+    # A 1e308 bath rate overflows the state within the first record interval.
+    scenario, doc = write_scenario(tmp_path, t_final=0.02, dt=1e-3, record_every=10)
+    doc["baths"][0]["base_rates"][0]["rate"] = 1e308
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "diverged.csv"
+    with pytest.warns(TrajectoryDiagnosticsWarning, match="not finite"):
+        rc = cli.main(["run", str(scenario), "--output", str(out)])
+    assert rc == 2
+    _, rows = read_csv(out)
+    assert column(rows, "t") == [0.0, pytest.approx(0.01, abs=1e-15)]
+    assert np.isfinite(rows[0][cli.COLUMNS.index("U")])
+    assert not np.isfinite(column(rows, "U")[-1])
+
+
 def test_sweep_over_c_signs(tmp_path):
     strong = ExampleParams(omega_A=1.0, omega_B=1.0, g=0.5, beta_A=0.5, beta_B=1.0, c=0.02)
     scenario, _ = write_scenario(tmp_path, params=strong)

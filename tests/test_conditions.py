@@ -37,7 +37,7 @@ def test_example_adjoint_residual_matches_hand_built_matrix():
     # D#_X[sz] = -2 gamma_X |0><0| + 2 delta_X |1><1| with gamma the rate of
     # |1><0| and delta the rate of |0><1|; assemble D#_A[H] + D#_B[H] from
     # that and compare.
-    from corrflux.dynamics import adjoint_generator
+    from corrflux.dynamics import Generator
     from corrflux.model import total_hamiltonian
 
     system, _ = build_example(STANDARD)
@@ -57,7 +57,7 @@ def test_example_adjoint_residual_matches_hand_built_matrix():
         + p.omega_B * kron(eye, M_B)
         + p.g * kron(SIGMA_Z, M_B)
     )
-    actual = adjoint_generator(system, total_hamiltonian(system))
+    actual = Generator(system).adjoint(total_hamiltonian(system))
     assert np.max(np.abs(actual - expected)) <= 1e-12
     assert adjoint_residual(system) == pytest.approx(float(np.linalg.norm(expected)), rel=1e-12)
     assert adjoint_residual(system) > 1.0

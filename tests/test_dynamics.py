@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from corrflux.dynamics import (
+    Generator,
     NonUniqueSteadyStateError,
+    Trajectory,
     TrajectoryDiagnosticsWarning,
-    adjoint_generator,
-    dissipator,
-    gkls_generator,
     integrate,
-    rk4_step,
     steady_state,
-    superoperator_matrix,
 )
 from corrflux.linalg import (
     SIGMA_Z,
@@ -31,7 +28,7 @@ from corrflux.model import (
     total_hamiltonian,
 )
 
-from helpers import random_dephasing_system, random_system, random_thermal_system
+from helpers import dissipative_part, random_dephasing_system, random_system, random_thermal_system
 
 RAISE = np.array([[0, 0], [1, 0]], dtype=complex)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -62,8 +59,8 @@ def test_dissipator_hand_value():
     )
     rho = kron(np.diag([1.0, 0.0]).astype(complex), 0.5 * np.eye(2))
     expected = kron(np.diag([-1.0, 1.0]).astype(complex), 0.5 * np.eye(2))
-    assert np.max(np.abs(dissipator(system, rho) - expected)) <= 1e-15
-    assert np.max(np.abs(gkls_generator(system, rho) - expected)) <= 1e-15
+    assert np.max(np.abs(dissipative_part(system)(rho) - expected)) <= 1e-15
+    assert np.max(np.abs(Generator(system)(rho) - expected)) <= 1e-15
 
 
 def test_adjoint_hand_value():
@@ -71,7 +68,7 @@ def test_adjoint_hand_value():
     # so the adjoint sends sz to -2 |0><0|.
     system = single_qubit_system(channels=(JumpChannel(RAISE, 1.0, "A", "raise"),))
     expected = np.diag([-2.0, 0.0]).astype(complex)
-    assert np.max(np.abs(adjoint_generator(system, SIGMA_Z) - expected)) <= 1e-15
+    assert np.max(np.abs(Generator(system).adjoint(SIGMA_Z) - expected)) <= 1e-15
 
 
 def test_unitary_part_only():
@@ -80,20 +77,22 @@ def test_unitary_part_only():
     H = total_hamiltonian(system)
     rho = random_density_matrix(4, rng)
     expected = -1j * (H @ rho - rho @ H)
-    assert np.max(np.abs(gkls_generator(system, rho) - expected)) <= 1e-13
-    assert np.max(np.abs(dissipator(system, rho))) == 0.0
+    assert np.max(np.abs(Generator(system)(rho) - expected)) <= 1e-13
+    assert np.max(np.abs(dissipative_part(system)(rho))) == 0.0
 
 
 def test_dissipator_side_split():
+    # The adjoint's side selector partitions the channel sum.
     rng = np.random.default_rng(32)
     for _ in range(20):
         system = random_system(rng)
         rho = random_density_matrix(4, rng)
-        total = dissipator(system, rho)
-        split = dissipator(system, rho, side="A") + dissipator(system, rho, side="B")
+        generator = Generator(system)
+        total = generator.adjoint(rho)
+        split = generator.adjoint(rho, side="A") + generator.adjoint(rho, side="B")
         assert np.max(np.abs(total - split)) <= 1e-13
     with pytest.raises(ValueError):
-        dissipator(system, rho, side="C")
+        generator.adjoint(rho, side="C")
 
 
 def test_generator_preserves_trace_and_hermiticity():
@@ -102,7 +101,7 @@ def test_generator_preserves_trace_and_hermiticity():
         d_A, d_B = (2, 2) if rng.uniform() < 0.7 else (2, 3)
         system = random_system(rng, d_A=d_A, d_B=d_B)
         rho = random_density_matrix(d_A * d_B, rng)
-        out = gkls_generator(system, rho)
+        out = Generator(system)(rho)
         assert abs(np.trace(out)) <= 1e-13
         assert float(np.abs(out - out.conj().T).max()) <= 1e-12
 
@@ -115,8 +114,8 @@ def test_adjoint_is_hilbert_schmidt_dual():
         rho = random_density_matrix(4, rng)
         O = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         for side in (None, "A", "B"):
-            lhs = np.trace(O @ dissipator(system, rho, side=side))
-            rhs = np.trace(adjoint_generator(system, O, side=side) @ rho)
+            lhs = np.trace(O @ dissipative_part(system, side)(rho))
+            rhs = np.trace(Generator(system).adjoint(O, side=side) @ rho)
             assert abs(lhs - rhs) <= 1e-12
 
 
@@ -124,7 +123,7 @@ def test_adjoint_is_unital():
     rng = np.random.default_rng(35)
     for _ in range(50):
         system = random_system(rng)
-        out = adjoint_generator(system, np.eye(4, dtype=complex))
+        out = Generator(system).adjoint(np.eye(4, dtype=complex))
         assert np.max(np.abs(out)) <= 1e-13
 
 
@@ -135,23 +134,25 @@ def test_cross_adjoint_vanishes():
         system = random_system(rng)
         obs_B = kron(np.eye(2), random_hermitian(2, rng))
         obs_A = kron(random_hermitian(2, rng), np.eye(2))
-        assert np.max(np.abs(adjoint_generator(system, obs_B, side="A"))) <= 1e-13
-        assert np.max(np.abs(adjoint_generator(system, obs_A, side="B"))) <= 1e-13
+        generator = Generator(system)
+        assert np.max(np.abs(generator.adjoint(obs_B, side="A"))) <= 1e-13
+        assert np.max(np.abs(generator.adjoint(obs_A, side="B"))) <= 1e-13
 
 
-def test_rk4_step_matches_taylor_polynomial():
+def test_generator_step_matches_taylor_polynomial():
     # The generator is linear, so one RK4 step equals the degree-4 Taylor
     # polynomial of the flow exactly.
     rng = np.random.default_rng(37)
     system = random_system(rng)
     rho = random_density_matrix(4, rng)
     dt = 0.05
+    generator = Generator(system)
     term = np.array(rho)
     expected = np.array(rho)
     for k in range(1, 5):
-        term = gkls_generator(system, term) * (dt / k)
+        term = generator(term) * (dt / k)
         expected = expected + term
-    stepped = rk4_step(system, rho, dt)
+    stepped = generator.step(rho, dt)
     assert np.max(np.abs(stepped - expected)) <= 1e-14
 
 
@@ -161,9 +162,10 @@ def test_superoperator_vec_convention():
     for d_A, d_B in ((2, 2), (2, 3)):
         system = random_system(rng, d_A=d_A, d_B=d_B)
         d = d_A * d_B
-        sup = superoperator_matrix(system)
+        generator = Generator(system)
+        sup = generator.matrix()
         rho = random_density_matrix(d, rng)
-        direct = gkls_generator(system, rho)
+        direct = generator(rho)
         via_sup = (sup @ rho.reshape(-1)).reshape(d, d)
         assert np.max(np.abs(direct - via_sup)) <= 1e-12
 
@@ -175,7 +177,7 @@ def test_integrate_matches_spectral_propagator():
     system = random_system(rng)
     rho0 = random_density_matrix(4, rng)
     t = 0.5
-    sup = superoperator_matrix(system)
+    sup = Generator(system).matrix()
     w, v = np.linalg.eig(sup)
     propagated = v @ np.diag(np.exp(w * t)) @ np.linalg.solve(v, rho0.reshape(-1))
     expected = propagated.reshape(4, 4)
@@ -275,6 +277,32 @@ def test_trajectory_diagnostics_breach():
     assert float(traj.trace_drift.max()) <= 1e-12
 
 
+def test_integrate_stops_at_first_non_finite_record():
+    # A 1e308 dephasing rate overflows the state within the first step.
+    system = single_qubit_system(channels=(JumpChannel(SIGMA_Z, 1e308, "A", "dephase"),))
+    plus = 0.5 * np.ones((2, 2), dtype=complex)
+    with pytest.warns(TrajectoryDiagnosticsWarning, match="not finite at step 2"):
+        traj = integrate(system, plus, 1.0, 0.1, record_every=2)
+    assert np.allclose(traj.times, [0.0, 0.2], atol=1e-15)
+    assert np.isfinite(traj.states[0]).all()
+    assert not np.isfinite(traj.final_state).all()
+    assert np.isnan(traj.min_eigenvalue[-1])
+    assert traj.breached and traj.flagged
+
+
+def test_non_finite_diagnostics_count_as_outside_the_band():
+    clean = dict(
+        times=np.array([0.0, 1.0]),
+        states=[np.eye(2), np.eye(2)],
+        hermiticity_residual=np.zeros(2),
+    )
+    for drift, eig in (([0.0, np.nan], [0.1, 0.1]), ([0.0, 0.0], [0.1, np.nan]), ([0.0, np.inf], [0.1, 0.1])):
+        traj = Trajectory(trace_drift=np.array(drift), min_eigenvalue=np.array(eig), **clean)
+        assert traj.breached and traj.flagged
+    traj = Trajectory(trace_drift=np.zeros(2), min_eigenvalue=np.array([0.1, 0.1]), **clean)
+    assert not traj.breached and not traj.flagged
+
+
 def test_clean_run_not_flagged():
     rng = np.random.default_rng(45)
     system, _ = random_thermal_system(rng)
@@ -345,4 +373,4 @@ def test_steady_state_is_annihilated():
     for _ in range(10):
         system, _ = random_thermal_system(rng, d_A=2, d_B=3)
         rho_ss = steady_state(system)
-        assert frobenius_norm(gkls_generator(system, rho_ss)) <= 1e-9
+        assert frobenius_norm(Generator(system)(rho_ss)) <= 1e-9

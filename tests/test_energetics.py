@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from corrflux.dynamics import adjoint_generator, integrate, rk4_step
+from corrflux.dynamics import Generator, integrate
 from corrflux.energetics import (
     NumericalConsistencyWarning,
     decompose,
@@ -204,8 +204,9 @@ def test_rates_against_finite_difference():
         rho = random_density_matrix(d_A * d_B, rng)
         ledger = energy_ledger(system, rho)
         H = total_hamiltonian(system)
-        fwd = rk4_step(system, rho, h)
-        bwd = rk4_step(system, rho, -h)
+        generator = Generator(system)
+        fwd = generator.step(rho, h)
+        bwd = generator.step(rho, -h)
 
         def u_total(state):
             return np.trace(state @ H).real
@@ -227,11 +228,12 @@ def test_adjoint_of_h_splits_into_local_pieces():
     for _ in range(20):
         system = random_system(rng)
         H = total_hamiltonian(system)
-        lhs_A = adjoint_generator(system, H, side="A")
-        rhs_A = adjoint_generator(system, embed_A(system.H_A, system.shape) + system.V, side="A")
+        generator = Generator(system)
+        lhs_A = generator.adjoint(H, side="A")
+        rhs_A = generator.adjoint(embed_A(system.H_A, system.shape) + system.V, side="A")
         assert np.max(np.abs(lhs_A - rhs_A)) <= 1e-12
-        lhs_B = adjoint_generator(system, H, side="B")
-        rhs_B = adjoint_generator(system, embed_B(system.H_B, system.shape) + system.V, side="B")
+        lhs_B = generator.adjoint(H, side="B")
+        rhs_B = generator.adjoint(embed_B(system.H_B, system.shape) + system.V, side="B")
         assert np.max(np.abs(lhs_B - rhs_B)) <= 1e-12
 
 

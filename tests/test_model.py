@@ -269,6 +269,10 @@ def test_matrix_from_json_errors():
         matrix_from_json([[0.0, 0.0], [1.0], [0.0, 0.0], [0.0, 0.0]], 2, "m")
     with pytest.raises(ValidationError):
         matrix_from_json([[0.0, 0.0], [True, 0.0], [0.0, 0.0], [0.0, 0.0]], 2, "m")
+    # json.load accepts NaN, Infinity and -Infinity, and ints beyond float range
+    for entry in ([float("nan"), 0.0], [0.0, float("inf")], [-float("inf"), 0.0], [10**400, 0.0]):
+        with pytest.raises(ValidationError, match=r"m\[0\]: expected a finite number"):
+            matrix_from_json([entry] + [[0.0, 0.0]] * 3, 2, "m")
 
 
 def test_parse_scenario_round_trip():
@@ -355,6 +359,15 @@ def test_parse_scenario_explicit_channels():
         (lambda d: d["baths"][0]["base_rates"][0].update({"from": 1.5}), "from"),
         (lambda d: d["initial_state"].update(c=0.2), "positivity range"),
         (lambda d: d["initial_state"].update(preset="bogus"), "preset"),
+        (lambda d: d["V"].update(g=float("nan")), "V.g: expected a finite number"),
+        (lambda d: d.update(H_A=[[float("inf"), 0.0]] + d["H_A"][1:]), r"H_A\[0\]: expected a finite number"),
+        (lambda d: d["integration"].update(t_final=float("inf")), "integration.t_final: expected a finite number"),
+        (
+            lambda d: d["baths"][0]["base_rates"][0].update(rate=-float("inf")),
+            r"baths\[0\].base_rates\[0\].rate: expected a finite number",
+        ),
+        (lambda d: d["baths"][1].update(beta=float("nan")), r"baths\[1\].beta: expected a finite number"),
+        (lambda d: d.update(alpha_A=float("nan")), "scenario.alpha_A: expected a finite number"),
     ],
 )
 def test_parse_scenario_errors(mutate, match):
