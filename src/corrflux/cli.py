@@ -15,6 +15,7 @@ sampling seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import os
@@ -51,19 +52,26 @@ def compute_records(system: model.BipartiteSystem, trajectory: dynamics.Trajecto
     adjoint_resid = conditions.adjoint_residual(system)
     records = []
     for i, state in enumerate(trajectory.states):
-        ledger = energetics.energy_ledger(system, state)
-        chi = energetics.decompose(state, system.shape).chi
-        records.append(
-            RunRecord(
-                t=float(trajectory.times[i]),
-                **vars(ledger),
-                chi_norm=frobenius_norm(chi),
-                trace_drift=float(trajectory.trace_drift[i]),
-                min_eig=float(trajectory.min_eigenvalue[i]),
-                cond_i_resid=conditions.commutator_residual(system, state),
-                cond_ii_resid=adjoint_resid,
+        # A non-finite state is the last record of a diverged run, which
+        # integrate has already reported; its NaN row needs no numpy warnings.
+        if np.isfinite(state).all():
+            quiet = contextlib.nullcontext()
+        else:
+            quiet = np.errstate(over="ignore", invalid="ignore")
+        with quiet:
+            ledger = energetics.energy_ledger(system, state)
+            chi = energetics.decompose(state, system.shape).chi
+            records.append(
+                RunRecord(
+                    t=float(trajectory.times[i]),
+                    **vars(ledger),
+                    chi_norm=frobenius_norm(chi),
+                    trace_drift=float(trajectory.trace_drift[i]),
+                    min_eig=float(trajectory.min_eigenvalue[i]),
+                    cond_i_resid=conditions.commutator_residual(system, state),
+                    cond_ii_resid=adjoint_resid,
+                )
             )
-        )
     return records
 
 
@@ -142,10 +150,13 @@ def _set_scenario_param(document: dict, param: str, value: float) -> None:
         )
 
 
-def _sign(value: float) -> int:
+def _sign(value: float) -> str:
+    """The sign column: -1, 0 or 1, and nan where a diverged run left no value."""
+    if not np.isfinite(value):
+        return "nan"
     if abs(value) <= SIGN_ZERO_TOL:
-        return 0
-    return 1 if value > 0 else -1
+        return "0"
+    return "1" if value > 0 else "-1"
 
 
 def _cmd_sweep(args) -> int:

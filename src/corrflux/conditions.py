@@ -48,9 +48,14 @@ def commutator_residual(system: model.BipartiteSystem, rho: np.ndarray) -> float
 
 
 def adjoint_residual(system: model.BipartiteSystem) -> float:
-    """Residual (ii), state independent: ||D#_A[H] + D#_B[H]||_F."""
-    generator = dynamics.Generator(system)
-    return frobenius_norm(generator.adjoint(generator.H))
+    """Residual (ii), state independent: ||D#_A[H] + D#_B[H]||_F.
+
+    NaN when D#[H] itself overflowed (see energetics.energy_operators).
+    """
+    adj_H = energetics.energy_operators(system)[1]
+    if not np.isfinite(adj_H).all():
+        return float("nan")
+    return frobenius_norm(adj_H)
 
 
 @dataclass(frozen=True)

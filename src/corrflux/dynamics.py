@@ -174,6 +174,40 @@ def _diagnose(rho: np.ndarray) -> tuple[float, float, float]:
     return float(tr_drift), herm, min_eig
 
 
+def _full_steps(generator: Generator, dt: float, n_full: int):
+    """The kernel that advances a state by k full RK4 steps, chosen by size.
+
+    One RK4 step of a linear, time-independent generator is a fixed
+    d^2 x d^2 matrix P on row-major vec(rho). Building P costs about d^2
+    steps, so it is used when the run has more full steps than that; the
+    state then moves by one power of P per record interval, each power
+    computed once. Otherwise, as at large d where P's d^4 memory would
+    not pay off, the steps run one by one.
+    """
+    d = generator.dim
+    if d * d >= n_full:
+
+        def loop(rho, k):
+            for _ in range(k):
+                rho = generator.step(rho, dt)
+            return rho
+
+        return loop
+
+    # Column j of P is the step of the j-th unit matrix; the generator's
+    # products broadcast over the stack of all d^2 of them.
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    step_matrix = generator.step(units, dt).reshape(d * d, d * d).T
+    powers = {}  # at most two: record_every and the shorter last interval
+
+    def propagate(rho, k):
+        if k not in powers:
+            powers[k] = np.linalg.matrix_power(step_matrix, k)
+        return (powers[k] @ rho.reshape(-1)).reshape(d, d)
+
+    return propagate
+
+
 def integrate(
     system: model.BipartiteSystem,
     rho0: np.ndarray,
@@ -211,27 +245,32 @@ def integrate(
     if remainder < 1e-12 * max(dt, 1.0):
         remainder = 0.0
     n_steps = n_full + (1 if remainder else 0)
+    record_steps = list(range(record_every, n_steps + 1, record_every))
+    if n_steps and (not record_steps or record_steps[-1] != n_steps):
+        record_steps.append(n_steps)
 
     times = [0.0]
     states = [rho.copy()]
     diagnostics = [_diagnose(rho)]
     problem = None
+    done = 0
     # A diverging run is reported below, not by numpy's overflow warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            if step <= n_full:
-                rho = generator.step(rho, dt)
-                t = step * dt if step < n_steps else t_final
-            else:
+        advance = _full_steps(generator, dt, n_full)
+        for step in record_steps:
+            full = min(step, n_full)
+            if full > done:
+                rho = advance(rho, full - done)
+                done = full
+            if step > n_full:
                 rho = generator.step(rho, remainder)
-                t = t_final
-            if step % record_every == 0 or step == n_steps:
-                times.append(t)
-                states.append(rho.copy())
-                diagnostics.append(_diagnose(rho))
-                if not np.isfinite(rho).all():
-                    problem = f"state is not finite at step {step} (t = {t:.6g}); integration stopped"
-                    break
+            t = step * dt if step < n_steps else t_final
+            times.append(t)
+            states.append(rho.copy())
+            diagnostics.append(_diagnose(rho))
+            if not np.isfinite(rho).all():
+                problem = f"state is not finite at step {step} (t = {t:.6g}); integration stopped"
+                break
 
     tr, herm, eig = (np.array(col) for col in zip(*diagnostics))
     traj = Trajectory(

@@ -3,15 +3,18 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from corrflux import cli
-from corrflux.dynamics import TrajectoryDiagnosticsWarning, integrate
-from corrflux.linalg import SIGMA_Z
+from corrflux.dynamics import Trajectory, TrajectoryDiagnosticsWarning, integrate
+from corrflux.linalg import SIGMA_Z, random_density_matrix
 from corrflux.model import matrix_to_json, parse_scenario
 from corrflux.twoqubit import ExampleParams, decay_rate, scenario_document
+
+from helpers import random_system
 
 EXPECTED_HEADER = (
     "t,U,U_A,U_B,U_prod,U_chi,dU_prod_dt,dU_chi_dt,dU_dt,"
@@ -165,20 +168,65 @@ def test_run_rejects_non_finite_number(tmp_path, capsys):
     assert "V.g: expected a finite number" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_divergence_exits_2_and_writes_rows(tmp_path):
     # A 1e308 bath rate overflows the state within the first record interval.
     scenario, doc = write_scenario(tmp_path, t_final=0.02, dt=1e-3, record_every=10)
     doc["baths"][0]["base_rates"][0]["rate"] = 1e308
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "diverged.csv"
-    with pytest.warns(TrajectoryDiagnosticsWarning, match="not finite"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = cli.main(["run", str(scenario), "--output", str(out)])
+    # The divergence is reported once, by integrate, and by no numpy warning.
+    assert [w.category for w in caught] == [TrajectoryDiagnosticsWarning]
+    assert "not finite" in str(caught[0].message)
     assert rc == 2
     _, rows = read_csv(out)
     assert column(rows, "t") == [0.0, pytest.approx(0.01, abs=1e-15)]
     assert np.isfinite(rows[0][cli.COLUMNS.index("U")])
     assert not np.isfinite(column(rows, "U")[-1])
+
+
+def test_sweep_of_a_diverged_point_writes_nan_sign(tmp_path):
+    scenario, _ = write_scenario(tmp_path, t_final=0.02, dt=1e-3, record_every=10)
+    outdir = tmp_path / "sweep_rate"
+    argv = ["sweep", str(scenario), "--param", "baths.0.base_rates.0.rate"]
+    argv += ["--min", "1e308", "--max", "1e308", "--steps", "1", "--output-dir", str(outdir)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    assert [w.category for w in caught] == [TrajectoryDiagnosticsWarning]
+    assert rc == 2
+    summary = (outdir / "summary.csv").read_text(encoding="utf-8").strip().split("\n")
+    assert summary[1:] == ["1e+308,nan,nan"]
+
+
+def test_only_non_finite_records_silence_numpy_warnings():
+    rng = np.random.default_rng(5)
+    system = random_system(rng)
+    rho = random_density_matrix(4, rng)
+    diverged = rho.copy()
+    diverged[0, 1] = np.inf
+
+    def trajectory(*states):
+        n = len(states)
+        return Trajectory(
+            times=np.arange(float(n)),
+            states=list(states),
+            trace_drift=np.zeros(n),
+            hermiticity_residual=np.zeros(n),
+            min_eigenvalue=np.zeros(n),
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = cli.compute_records(system, trajectory(rho, diverged))
+    assert np.isfinite(records[0].U) and not np.isfinite(records[1].dU_dt)
+    # A finite state whose ledger overflows still gets numpy's warning.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cli.compute_records(system, trajectory(1e200 * rho))
+    assert any("overflow" in str(w.message) for w in caught if w.category is RuntimeWarning)
 
 
 def test_sweep_over_c_signs(tmp_path):

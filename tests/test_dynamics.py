@@ -185,6 +185,38 @@ def test_integrate_matches_spectral_propagator():
     assert frobenius_norm(traj.final_state - expected) <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "t_final, n_full, remainder, record_every",
+    [
+        # d^2 = 16 < 34 full steps: step matrix; a 4-step last interval and a short step
+        (0.345, 34, 0.005, 5),
+        # 16 >= 10 full steps: the step loop
+        (0.105, 10, 0.005, 3),
+        # step matrix, every step recorded
+        (0.3, 30, 0.0, 1),
+    ],
+)
+def test_integrate_kernels_reproduce_the_step_loop(t_final, n_full, remainder, record_every):
+    rng = np.random.default_rng(48)
+    system = random_system(rng)
+    rho0 = random_density_matrix(4, rng)
+    dt = 0.01
+    generator = Generator(system)
+    stepped = [rho0]
+    for _ in range(n_full):
+        stepped.append(generator.step(stepped[-1], dt))
+    if remainder:
+        stepped.append(generator.step(stepped[-1], remainder))
+    last = len(stepped) - 1
+    record_steps = [0, *range(record_every, last, record_every), last]
+
+    traj = integrate(system, rho0, t_final, dt, record_every=record_every)
+    assert len(traj.states) == len(record_steps)
+    assert traj.times[-1] == t_final
+    for step, state in zip(record_steps, traj.states):
+        assert frobenius_norm(state - stepped[step]) <= 1e-12
+
+
 def test_integrate_zero_horizon():
     rng = np.random.default_rng(40)
     system = random_system(rng)

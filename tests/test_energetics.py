@@ -1,15 +1,20 @@
 """Tests for the product/correlation energy split and its rates."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from corrflux.dynamics import Generator, integrate
 from corrflux.energetics import (
+    EnergyLedger,
     NumericalConsistencyWarning,
     decompose,
     delta_U_chi,
     effective_hamiltonians,
     energy_ledger,
+    energy_operators,
 )
 from corrflux.linalg import (
     SIGMA_X,
@@ -262,3 +267,33 @@ def test_imaginary_residue_warns():
     rho[0, 3] = 0.5j
     with pytest.warns(NumericalConsistencyWarning):
         energy_ledger(system, rho)
+
+
+def test_ledger_consistency_bound_scales_with_energy():
+    # At energy scale 1e6 the identities hold only to rounding relative to
+    # 1e6, which an absolute 1e-10 bound reports as inconsistent.
+    rng = np.random.default_rng(61)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(20):
+            system = random_system(rng)
+            scaled = dataclasses.replace(
+                system, H_A=1e6 * system.H_A, H_B=1e6 * system.H_B, V=1e6 * system.V
+            )
+            energy_ledger(scaled, random_density_matrix(4, rng))
+    assert not [w for w in caught if "ledger identity" in str(w.message)]
+    exact = dict(U=1.0, U_A=0.25, U_B=0.25, U_prod=0.5, U_chi=0.5, dU_prod_dt=0.0, dU_chi_dt=0.0, dU_dt=0.0)
+    with pytest.warns(NumericalConsistencyWarning, match="U = U_prod \\+ U_chi"):
+        EnergyLedger(**{**exact, "U": 1.0 + 1e-6})
+
+
+def test_energy_operators_are_computed_once_and_read_only():
+    rng = np.random.default_rng(62)
+    system = random_system(rng)
+    H, adj_H = energy_operators(system)
+    assert energy_operators(system)[1] is adj_H
+    generator = Generator(system)
+    assert np.array_equal(H, generator.H)
+    assert np.array_equal(adj_H, generator.adjoint(generator.H))
+    with pytest.raises(ValueError):
+        adj_H[0, 0] = 0.0
