@@ -48,31 +48,26 @@ RunRecord = make_dataclass(
 
 
 def compute_records(system: model.BipartiteSystem, trajectory: dynamics.Trajectory) -> list[RunRecord]:
-    """Evaluate the full ledger and both condition residuals per record."""
-    adjoint_resid = conditions.adjoint_residual(system)
-    records = []
-    for i, state in enumerate(trajectory.states):
-        # A non-finite state is the last record of a diverged run, which
-        # integrate has already reported; its NaN row needs no numpy warnings.
-        if np.isfinite(state).all():
-            quiet = contextlib.nullcontext()
-        else:
-            quiet = np.errstate(over="ignore", invalid="ignore")
-        with quiet:
-            ledger = energetics.energy_ledger(system, state)
-            chi = energetics.decompose(state, system.shape).chi
-            records.append(
-                RunRecord(
-                    t=float(trajectory.times[i]),
-                    **vars(ledger),
-                    chi_norm=frobenius_norm(chi),
-                    trace_drift=float(trajectory.trace_drift[i]),
-                    min_eig=float(trajectory.min_eigenvalue[i]),
-                    cond_i_resid=conditions.commutator_residual(system, state),
-                    cond_ii_resid=adjoint_resid,
-                )
-            )
-    return records
+    """Evaluate the full ledger and both condition residuals at every record at once."""
+    states = np.asarray(trajectory.states, dtype=complex)
+    # A non-finite state is the last record of a diverged run, which integrate
+    # has already reported; that run's table needs no numpy warnings.
+    if np.isfinite(states).all():
+        quiet = contextlib.nullcontext()
+    else:
+        quiet = np.errstate(over="ignore", invalid="ignore")
+    with quiet:
+        columns = {
+            "t": trajectory.times,
+            **vars(energetics.energy_ledger(system, states)),
+            "chi_norm": frobenius_norm(energetics.decompose(states, system.shape).chi),
+            "trace_drift": trajectory.trace_drift,
+            "min_eig": trajectory.min_eigenvalue,
+            "cond_i_resid": conditions.commutator_residual(system, states),
+            "cond_ii_resid": np.full(len(states), conditions.adjoint_residual(system)),
+        }
+    rows = zip(*(np.asarray(columns[name], dtype=float).tolist() for name in COLUMNS))
+    return [RunRecord(*row) for row in rows]
 
 
 def _fmt(x: float) -> str:

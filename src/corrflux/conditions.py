@@ -21,7 +21,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import dynamics, energetics, model
-from .linalg import commutator, embed_A, embed_B, frobenius_norm, kron, random_density_matrix
+from .linalg import frobenius_norm, kron, random_density_matrix
 
 __all__ = [
     "ConditionReport",
@@ -39,12 +39,10 @@ ENERGY_DRIFT_TOL = 1e-7
 DEFAULT_SAMPLES = 50
 
 
-def commutator_residual(system: model.BipartiteSystem, rho: np.ndarray) -> float:
-    """Residual (i) at the given state: ||[Hhat_A + Hhat_B (embedded), V]||_F."""
+def commutator_residual(system: model.BipartiteSystem, rho: np.ndarray):
+    """Residual (i), ||[Hhat_A + Hhat_B (embedded), V]||_F: a float, or a column on a stack."""
     dec = energetics.decompose(rho, system.shape)
-    eff = energetics.effective_hamiltonians(system, dec)
-    local_sum = embed_A(eff.H_hat_A, system.shape) + embed_B(eff.H_hat_B, system.shape)
-    return frobenius_norm(commutator(local_sum, system.V))
+    return frobenius_norm(energetics.effective_hamiltonians(system, dec).drive)
 
 
 def adjoint_residual(system: model.BipartiteSystem) -> float:
@@ -198,26 +196,13 @@ def verify_theorem(
                 ),
             )
 
-    H = model.total_hamiltonian(system)
-    shape = system.shape
-
-    def product_energy(rho):
-        dec = energetics.decompose(rho, shape)
-        return np.trace(kron(dec.rho_A, dec.rho_B) @ H).real
-
     total_drifts = []
     product_drifts = []
     for rho in states:
         traj = dynamics.integrate(system, rho, horizon, dt, record_every=record_every)
-        U0 = np.trace(rho @ H).real
-        P0 = product_energy(rho)
-        u_drift = 0.0
-        p_drift = 0.0
-        for state in traj.states:
-            u_drift = max(u_drift, abs(np.trace(state @ H).real - U0))
-            p_drift = max(p_drift, abs(product_energy(state) - P0))
-        total_drifts.append(u_drift)
-        product_drifts.append(p_drift)
+        ledger = energetics.energy_ledger(system, traj.states)
+        total_drifts.append(float(np.abs(ledger.U - ledger.U[0]).max()))
+        product_drifts.append(float(np.abs(ledger.U_prod - ledger.U_prod[0]).max()))
 
     return TheoremReport(
         applicable=True,

@@ -134,12 +134,12 @@ class Generator:
 class Trajectory:
     """Recorded states of one integration run plus per-record diagnostics.
 
-    trace_drift is |Tr rho - 1|, hermiticity_residual is max |rho - rho†|,
-    min_eigenvalue is the smallest eigenvalue of the hermitized state.
+    states is one (N, d, d) array. trace_drift is |Tr rho - 1|, hermiticity_residual
+    is max |rho - rho†|, min_eigenvalue is the smallest eigenvalue of the hermitized state.
     """
 
     times: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray
     trace_drift: np.ndarray
     hermiticity_residual: np.ndarray
     min_eigenvalue: np.ndarray
@@ -165,13 +165,14 @@ class Trajectory:
         return self._outside(TRACE_BREACH_TOL, EIG_BREACH_TOL)
 
 
-def _diagnose(rho: np.ndarray) -> tuple[float, float, float]:
-    tr_drift = abs(np.trace(rho) - 1.0)
-    herm = float(np.abs(rho - rho.conj().T).max())
-    if not np.isfinite(rho).all():
-        return float(tr_drift), herm, float("nan")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    return float(tr_drift), herm, min_eig
+def _diagnose(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Trajectory diagnostics of a stack of states; NaN eigenvalue where not finite."""
+    states_dag = states.conj().swapaxes(-1, -2)
+    min_eig = np.full(len(states), np.nan)
+    finite = np.isfinite(states).all(axis=(-2, -1))
+    min_eig[finite] = np.linalg.eigvalsh(0.5 * (states + states_dag)[finite]).min(axis=-1)
+    trace_drift = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
+    return trace_drift, np.abs(states - states_dag).max(axis=(-2, -1)), min_eig
 
 
 def _full_steps(generator: Generator, dt: float, n_full: int):
@@ -250,8 +251,7 @@ def integrate(
         record_steps.append(n_steps)
 
     times = [0.0]
-    states = [rho.copy()]
-    diagnostics = [_diagnose(rho)]
+    states = [rho]
     problem = None
     done = 0
     # A diverging run is reported below, not by numpy's overflow warnings.
@@ -266,13 +266,13 @@ def integrate(
                 rho = generator.step(rho, remainder)
             t = step * dt if step < n_steps else t_final
             times.append(t)
-            states.append(rho.copy())
-            diagnostics.append(_diagnose(rho))
+            states.append(rho)
             if not np.isfinite(rho).all():
                 problem = f"state is not finite at step {step} (t = {t:.6g}); integration stopped"
                 break
+        states = np.array(states)
+        tr, herm, eig = _diagnose(states)
 
-    tr, herm, eig = (np.array(col) for col in zip(*diagnostics))
     traj = Trajectory(
         times=np.array(times),
         states=states,

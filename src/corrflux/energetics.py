@@ -29,6 +29,10 @@ Rates: with D#_A, D#_B the dissipative adjoints of the two baths,
     dU_prod/dt = -i Tr[[Hhat_A (x) I + I (x) Hhat_B, V] chi]
                  + Tr[(D#_A[H] + D#_B[H]) rho_A (x) rho_B],
     dU_chi/dt  = dU/dt - dU_prod/dt.
+
+decompose, effective_hamiltonians and energy_ledger take one state or a stack
+of states, an array of shape (N, d, d); on a stack each ledger field is a
+column with one entry per state.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ import numpy as np
 
 from . import dynamics, model
 from .linalg import (
-    commutator,
     embed_A,
     embed_B,
     frobenius_norm,
@@ -72,23 +75,32 @@ class NumericalConsistencyWarning(UserWarning):
     """A quantity that must be real or an identity that must hold drifted."""
 
 
-def _real(value: complex, what: str) -> float:
-    value = complex(value)
-    if abs(value.imag) > IMAG_RESIDUE_TOL:
+def _real_trace(a: np.ndarray, b: np.ndarray, what: str):
+    """Tr[a b] as a float, or as a column on a stack.
+
+    Warns where a finite trace has an imaginary part above
+    IMAG_RESIDUE_TOL * max(1, ||a||_F ||b||_F); ||a||_F ||b||_F bounds |Tr[a b]|.
+    """
+    value = np.einsum("...ij,...ji->...", a, b)
+    bound = IMAG_RESIDUE_TOL * np.maximum(1.0, frobenius_norm(a) * frobenius_norm(b))
+    residue = np.abs(value.imag)
+    off = np.isfinite(value) & (residue > bound)
+    if off.any():
         warnings.warn(
-            f"{what} has imaginary residue {value.imag:.3e}",
+            f"{what} has imaginary residue {residue[off].max():.3e}",
             NumericalConsistencyWarning,
             stacklevel=3,
         )
-    return value.real
+    return float(value.real) if value.ndim == 0 else value.real
 
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Marginals and correlation part of a joint state."""
+    """Marginals, their product and the correlation part of a joint state."""
 
     rho_A: np.ndarray
     rho_B: np.ndarray
+    product: np.ndarray
     chi: np.ndarray
 
 
@@ -97,17 +109,22 @@ def decompose(rho: np.ndarray, shape) -> Decomposition:
     rho = np.asarray(rho, dtype=complex)
     rho_A = partial_trace(rho, shape, "A")
     rho_B = partial_trace(rho, shape, "B")
-    chi = rho - kron(rho_A, rho_B)
-    return Decomposition(rho_A=rho_A, rho_B=rho_B, chi=chi)
+    product = kron(rho_A, rho_B)
+    return Decomposition(rho_A=rho_A, rho_B=rho_B, product=product, chi=rho - product)
 
 
 @dataclass(frozen=True, eq=False)
 class EffectiveHamiltonians:
-    """State-dependent local Hamiltonians and residual interaction."""
+    """State-dependent local Hamiltonians, residual interaction and drive.
+
+    drive = -i [Hhat_A (x) I + I (x) Hhat_B, V] is Hermitian; Tr[drive chi]
+    is the coherent part of dU_prod/dt and ||drive||_F is condition (i).
+    """
 
     H_hat_A: np.ndarray
     H_hat_B: np.ndarray
     V_hat: np.ndarray
+    drive: np.ndarray
 
 
 def effective_hamiltonians(
@@ -122,7 +139,7 @@ def effective_hamiltonians(
     shape = system.shape
     rho_A, rho_B = decomposition.rho_A, decomposition.rho_B
     V = system.V
-    V_mean = _real(np.trace(V @ kron(rho_A, rho_B)), "Tr[V rho_A x rho_B]")
+    V_mean = np.asarray(_real_trace(V, decomposition.product, "Tr[V rho_A x rho_B]"))[..., None, None]
     # Partial means of V against one marginal, still operators on the other side.
     V_on_A = partial_trace(V @ embed_B(rho_B, shape), shape, "A")
     V_on_B = partial_trace(V @ embed_A(rho_A, shape), shape, "B")
@@ -134,17 +151,20 @@ def effective_hamiltonians(
         - embed_A(V_on_A, shape)
         + V_mean * identity(shape.dim)
     )
-    return EffectiveHamiltonians(H_hat_A=H_hat_A, H_hat_B=H_hat_B, V_hat=V_hat)
+    local_sum = embed_A(H_hat_A, shape) + embed_B(H_hat_B, shape)
+    drive = -1j * (local_sum @ V - V @ local_sum)
+    return EffectiveHamiltonians(H_hat_A=H_hat_A, H_hat_B=H_hat_B, V_hat=V_hat, drive=drive)
 
 
 @dataclass(frozen=True)
 class EnergyLedger:
-    """All energy accounts and their instantaneous rates at one state.
+    """All energy accounts and their instantaneous rates at one state or a stack.
 
     U is total internal energy, U_prod the part carried by the marginals
     (U_prod = U_A + U_B), U_chi the part stored in correlations
     (U = U_prod + U_chi). The three rates satisfy
-    dU_dt = dU_prod_dt + dU_chi_dt by construction.
+    dU_dt = dU_prod_dt + dU_chi_dt by construction. Each field is a float
+    for one state and a column for a stack.
     """
 
     U: float
@@ -157,21 +177,19 @@ class EnergyLedger:
     dU_dt: float
 
     def __post_init__(self):
-        tol = LEDGER_CONSISTENCY_TOL * max(1.0, abs(self.U), abs(self.U_prod), abs(self.U_chi))
-        if abs(self.U - (self.U_prod + self.U_chi)) > tol:
-            warnings.warn(
-                f"ledger identity U = U_prod + U_chi off by "
-                f"{abs(self.U - (self.U_prod + self.U_chi)):.3e}",
-                NumericalConsistencyWarning,
-                stacklevel=3,
-            )
-        if abs(self.U_prod - (self.U_A + self.U_B)) > tol:
-            warnings.warn(
-                f"ledger identity U_prod = U_A + U_B off by "
-                f"{abs(self.U_prod - (self.U_A + self.U_B)):.3e}",
-                NumericalConsistencyWarning,
-                stacklevel=3,
-            )
+        scale = np.maximum(1.0, np.abs([self.U, self.U_prod, self.U_chi]).max(axis=0))
+        for identity_name, off in (
+            ("U = U_prod + U_chi", self.U - (self.U_prod + self.U_chi)),
+            ("U_prod = U_A + U_B", self.U_prod - (self.U_A + self.U_B)),
+        ):
+            # A non-finite entry compares false and is not reported here.
+            broken = np.abs(off) > LEDGER_CONSISTENCY_TOL * scale
+            if np.any(broken):
+                warnings.warn(
+                    f"ledger identity {identity_name} off by {np.max(np.abs(off)[broken]):.3e}",
+                    NumericalConsistencyWarning,
+                    stacklevel=3,
+                )
 
 
 # H and D#[H] depend on the system alone. Systems are immutable and compare by
@@ -198,45 +216,29 @@ def energy_operators(system: model.BipartiteSystem) -> tuple[np.ndarray, np.ndar
 
 
 def energy_ledger(system: model.BipartiteSystem, rho: np.ndarray) -> EnergyLedger:
-    """Evaluate every energy account and rate at the state rho."""
-    shape = system.shape
+    """Evaluate every energy account and rate at the state rho, or at each state of a stack."""
     rho = np.asarray(rho, dtype=complex)
-    dec = decompose(rho, shape)
+    dec = decompose(rho, system.shape)
     eff = effective_hamiltonians(system, dec)
     H, adj_H = energy_operators(system)
-    product = kron(dec.rho_A, dec.rho_B)
 
-    U = _real(np.trace(rho @ H), "U")
-    U_A = _real(np.trace(dec.rho_A @ eff.H_hat_A), "U_A")
-    U_B = _real(np.trace(dec.rho_B @ eff.H_hat_B), "U_B")
-    U_prod = _real(np.trace(product @ H), "U_prod")
-    U_chi = _real(np.trace(dec.chi @ system.V), "U_chi")
-
-    dU_dt = _real(np.trace(adj_H @ rho), "dU_dt")
-    local_sum = embed_A(eff.H_hat_A, shape) + embed_B(eff.H_hat_B, shape)
-    coherent = -1j * np.trace(commutator(local_sum, system.V) @ dec.chi)
-    dU_prod_dt = _real(coherent, "coherent part of dU_prod_dt") + _real(
-        np.trace(adj_H @ product), "dissipative part of dU_prod_dt"
+    dU_dt = _real_trace(adj_H, rho, "dU_dt")
+    dU_prod_dt = _real_trace(eff.drive, dec.chi, "coherent part of dU_prod_dt") + _real_trace(
+        adj_H, dec.product, "dissipative part of dU_prod_dt"
     )
-    dU_chi_dt = dU_dt - dU_prod_dt
-
     return EnergyLedger(
-        U=U,
-        U_A=U_A,
-        U_B=U_B,
-        U_prod=U_prod,
-        U_chi=U_chi,
+        U=_real_trace(rho, H, "U"),
+        U_A=_real_trace(dec.rho_A, eff.H_hat_A, "U_A"),
+        U_B=_real_trace(dec.rho_B, eff.H_hat_B, "U_B"),
+        U_prod=_real_trace(dec.product, H, "U_prod"),
+        U_chi=_real_trace(dec.chi, system.V, "U_chi"),
         dU_prod_dt=dU_prod_dt,
-        dU_chi_dt=dU_chi_dt,
+        dU_chi_dt=dU_dt - dU_prod_dt,
         dU_dt=dU_dt,
     )
 
 
 def delta_U_chi(system: model.BipartiteSystem, trajectory: dynamics.Trajectory) -> np.ndarray:
     """Correlation-energy change U_chi(t) - U_chi(0) along a trajectory."""
-    shape = system.shape
-    values = np.empty(len(trajectory.states))
-    for i, state in enumerate(trajectory.states):
-        chi = decompose(state, shape).chi
-        values[i] = _real(np.trace(chi @ system.V), "U_chi")
-    return values - values[0]
+    U_chi = energy_ledger(system, trajectory.states).U_chi
+    return U_chi - U_chi[0]

@@ -4,6 +4,8 @@ Every operator (state, Hamiltonian, jump operator) is a plain numpy array
 with dtype complex128. Target systems stay below total dimension ~64, so
 storage is dense and all algorithms are direct. Subsystem A is always the
 slow (left) Kronecker factor: a product operator is kron(op_A, op_B).
+kron, embed_A, embed_B, partial_trace and frobenius_norm also take stacks
+of matrices, arrays of shape (..., n, n), and act on each matrix alike.
 """
 
 from __future__ import annotations
@@ -25,13 +27,11 @@ __all__ = [
     "frobenius_norm",
     "trace_distance",
     "commutator",
-    "anticommutator",
     "kron",
     "embed_A",
     "embed_B",
     "partial_trace",
     "hermiticity_residual",
-    "is_hermitian",
     "require_hermitian",
     "hermitian_eig",
     "random_hermitian",
@@ -51,6 +51,13 @@ def _square(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{name} must be a square matrix, got shape {a.shape}")
+    return a
+
+
+def _square_stack(m, name: str = "matrix") -> np.ndarray:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ShapeError(f"{name} must be a square matrix or a stack of them, got shape {a.shape}")
     return a
 
 
@@ -94,9 +101,10 @@ def trace(m) -> complex:
     return complex(np.trace(_square(m)))
 
 
-def frobenius_norm(m) -> float:
-    """sqrt(sum |m_ij|^2)."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex)))
+def frobenius_norm(m):
+    """sqrt(sum |m_ij|^2): a float for one matrix, an array for a stack."""
+    norm = np.linalg.norm(np.asarray(m, dtype=complex), axis=(-2, -1))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def trace_distance(a, b) -> float:
@@ -114,33 +122,32 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def anticommutator(a, b) -> np.ndarray:
-    a = _square(a, "a")
-    b = _square(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"anticommutator needs equal shapes, got {a.shape} and {b.shape}")
-    return a @ b + b @ a
-
-
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with the A factor on the left."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product with the A factor on the left, matrix by matrix over stacks.
+
+    A plain broadcast multiply: on two matrices it equals np.kron, and it keeps
+    numpy's floating-point warnings."""
+    a = _square_stack(a, "a")
+    b = _square_stack(b, "b")
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    n = a.shape[-1] * b.shape[-1]
+    return out.reshape(*out.shape[:-4], n, n)
 
 
 def embed_A(op, shape: BipartiteShape) -> np.ndarray:
     """Lift an operator on subsystem A to the joint space: op (x) I_B."""
-    a = _square(op, "op")
-    if a.shape[0] != shape.d_A:
-        raise ShapeError(f"operator dim {a.shape[0]} does not match d_A = {shape.d_A}")
-    return np.kron(a, np.eye(shape.d_B, dtype=complex))
+    a = _square_stack(op, "op")
+    if a.shape[-1] != shape.d_A:
+        raise ShapeError(f"operator dim {a.shape[-1]} does not match d_A = {shape.d_A}")
+    return kron(a, identity(shape.d_B))
 
 
 def embed_B(op, shape: BipartiteShape) -> np.ndarray:
     """Lift an operator on subsystem B to the joint space: I_A (x) op."""
-    b = _square(op, "op")
-    if b.shape[0] != shape.d_B:
-        raise ShapeError(f"operator dim {b.shape[0]} does not match d_B = {shape.d_B}")
-    return np.kron(np.eye(shape.d_A, dtype=complex), b)
+    b = _square_stack(op, "op")
+    if b.shape[-1] != shape.d_B:
+        raise ShapeError(f"operator dim {b.shape[-1]} does not match d_B = {shape.d_B}")
+    return kron(identity(shape.d_A), b)
 
 
 def partial_trace(m, shape: BipartiteShape, keep: str) -> np.ndarray:
@@ -149,14 +156,14 @@ def partial_trace(m, shape: BipartiteShape, keep: str) -> np.ndarray:
     keep="A" returns the d_A x d_A operator Tr_B[m]; keep="B" returns
     Tr_A[m]. Row-major index convention: joint index i = i_A * d_B + i_B.
     """
-    a = _square(m)
-    if a.shape[0] != shape.dim:
-        raise ShapeError(f"matrix dim {a.shape[0]} does not match shape dim {shape.dim}")
-    r = a.reshape(shape.d_A, shape.d_B, shape.d_A, shape.d_B)
+    a = _square_stack(m)
+    if a.shape[-1] != shape.dim:
+        raise ShapeError(f"matrix dim {a.shape[-1]} does not match shape dim {shape.dim}")
+    r = a.reshape(*a.shape[:-2], shape.d_A, shape.d_B, shape.d_A, shape.d_B)
     if keep == "A":
-        return np.einsum("ijkj->ik", r)
+        return np.einsum("...ijkj->...ik", r)
     if keep == "B":
-        return np.einsum("ijil->jl", r)
+        return np.einsum("...ijil->...jl", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -164,10 +171,6 @@ def hermiticity_residual(m) -> float:
     """max_ij |m - m†| (elementwise)."""
     a = _square(m)
     return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-
-
-def is_hermitian(m, tol: float = 1e-12) -> bool:
-    return hermiticity_residual(m) <= tol
 
 
 def require_hermitian(m, tol: float, name: str = "matrix") -> np.ndarray:

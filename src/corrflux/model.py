@@ -73,6 +73,14 @@ class DegenerateSpectrumError(ValidationError):
     """A local Hamiltonian has (near-)degenerate eigenvalues."""
 
 
+def _finite_matrix(m, name: str) -> np.ndarray:
+    """m as a complex array; NaN or infinite entries are a ValidationError naming it."""
+    a = np.asarray(m, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name} has non-finite entries")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class JumpChannel:
     """One GKLS jump operator, already lifted to the joint space.
@@ -88,7 +96,7 @@ class JumpChannel:
     label: str = ""
 
     def __post_init__(self):
-        op = np.array(self.operator, dtype=complex)
+        op = np.array(_finite_matrix(self.operator, f"jump operator {self.label!r}"))
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ShapeError(f"jump operator must be square, got shape {op.shape}")
         op.setflags(write=False)
@@ -118,9 +126,10 @@ class BipartiteSystem:
 
     def __post_init__(self):
         try:
-            H_A = require_hermitian(self.H_A, HERMITICITY_TOL, "H_A")
-            H_B = require_hermitian(self.H_B, HERMITICITY_TOL, "H_B")
-            V = require_hermitian(self.V, HERMITICITY_TOL, "V")
+            H_A, H_B, V = (
+                require_hermitian(_finite_matrix(getattr(self, name), name), HERMITICITY_TOL, name)
+                for name in ("H_A", "H_B", "V")
+            )
         except HermiticityError as exc:
             raise ValidationError(str(exc)) from exc
         if H_A.shape[0] != self.shape.d_A:
@@ -303,8 +312,8 @@ def require_density_matrix(
     trace_tol: float = 1e-8,
     eig_floor: float = -1e-10,
 ) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a state."""
-    a = np.asarray(rho, dtype=complex)
+    """Validate finiteness, Hermiticity, unit trace and positivity of a state."""
+    a = _finite_matrix(rho, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
     resid = float(np.abs(a - a.conj().T).max())

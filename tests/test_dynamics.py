@@ -246,6 +246,14 @@ def test_integrate_validation():
         integrate(system, random_density_matrix(3, rng), 1.0, 0.1)
 
 
+def test_integrate_rejects_non_finite_initial_state():
+    rng = np.random.default_rng(46)
+    rho0 = random_density_matrix(4, rng)
+    rho0[1, 2] = np.nan
+    with pytest.raises(ValidationError, match="initial state has non-finite entries"):
+        integrate(random_system(rng), rho0, 1.0, 0.1)
+
+
 def test_integrate_record_schedule():
     rng = np.random.default_rng(42)
     system = random_system(rng)

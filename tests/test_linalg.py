@@ -10,7 +10,6 @@ from corrflux.linalg import (
     BipartiteShape,
     HermiticityError,
     ShapeError,
-    anticommutator,
     commutator,
     dagger,
     embed_A,
@@ -19,7 +18,6 @@ from corrflux.linalg import (
     hermitian_eig,
     hermiticity_residual,
     identity,
-    is_hermitian,
     kron,
     partial_trace,
     random_density_matrix,
@@ -75,10 +73,31 @@ def test_kron_properties():
         a = random_hermitian(int(d1), rng)
         b = random_hermitian(int(d2), rng)
         assert abs(trace(kron(a, b)) - trace(a) * trace(b)) <= 1e-12 * (1 + abs(trace(a) * trace(b)))
+        assert np.array_equal(kron(a, b), np.kron(a, b))
     a = random_hermitian(2, rng)
     b = random_hermitian(3, rng)
     c = random_hermitian(2, rng)
     assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) <= 1e-14
+
+
+def test_stacked_operations_equal_the_per_matrix_results():
+    rng = np.random.default_rng(17)
+    shape = BipartiteShape(2, 3)
+    joint = np.stack([random_hermitian(6, rng) for _ in range(5)])
+    on_A = np.stack([random_hermitian(2, rng) for _ in range(5)])
+    on_B = np.stack([random_hermitian(3, rng) for _ in range(5)])
+    for i in range(5):
+        assert np.array_equal(kron(on_A, on_B)[i], np.kron(on_A[i], on_B[i]))
+        assert np.array_equal(kron(on_A[i], on_B)[i], np.kron(on_A[i], on_B[i]))
+        assert np.array_equal(embed_A(on_A, shape)[i], embed_A(on_A[i], shape))
+        assert np.array_equal(embed_B(on_B, shape)[i], embed_B(on_B[i], shape))
+        for keep in "AB":
+            assert np.array_equal(partial_trace(joint, shape, keep)[i], partial_trace(joint[i], shape, keep))
+        assert frobenius_norm(joint)[i] == frobenius_norm(joint[i])
+    with pytest.raises(ShapeError):
+        kron(on_A[..., :1], on_B)
+    with pytest.raises(ShapeError):
+        partial_trace(joint[..., :5], shape, "A")
 
 
 def test_embed_operators_commute():
@@ -123,24 +142,21 @@ def test_partial_trace_validation():
 
 def test_commutators():
     assert np.max(np.abs(commutator(SIGMA_X, SIGMA_Y) - 2j * SIGMA_Z)) <= 1e-15
-    assert np.max(np.abs(anticommutator(SIGMA_X, SIGMA_Y))) == 0.0
-    assert np.max(np.abs(anticommutator(SIGMA_X, SIGMA_X) - 2.0 * np.eye(2))) <= 1e-15
     with pytest.raises(ShapeError):
         commutator(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
 
 
 def test_hermiticity_checks():
     m = np.array([[1.0, 1.0j], [-1.0j, 2.0]])
-    assert is_hermitian(m)
     assert hermiticity_residual(m) == 0.0
     bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-    assert not is_hermitian(bad)
     with pytest.raises(HermiticityError):
         require_hermitian(bad, 1e-12, "bad")
     # residual threshold is adjustable
     almost = m + 1e-9 * np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert is_hermitian(almost, tol=1e-6)
-    assert not is_hermitian(almost, tol=1e-12)
+    assert np.array_equal(require_hermitian(almost, 1e-6), almost)
+    with pytest.raises(HermiticityError):
+        require_hermitian(almost, 1e-12)
 
 
 def test_hermitian_eig_sigma_x():

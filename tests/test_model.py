@@ -78,6 +78,27 @@ def test_system_validation():
         BipartiteSystem(**good, channels=(JumpChannel(np.eye(2, dtype=complex), 1.0, "A", "small"),))
 
 
+def _with_nan(m, i=0, j=1):
+    bad = np.array(m, dtype=complex)
+    bad[i, j] = np.nan
+    return bad
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: BipartiteSystem(BipartiteShape(2, 2), _with_nan(SIGMA_Z), SIGMA_Z, kron(SIGMA_Z, SIGMA_Z)), "H_A"),
+        (lambda: JumpChannel(_with_nan(np.eye(2)), 1.0, "A", "A:nan"), "jump operator 'A:nan'"),
+        (lambda: require_density_matrix(_with_nan(0.5 * np.eye(2), 0, 0), "rho0"), "rho0"),
+    ],
+    ids=["system", "jump_channel", "density_matrix"],
+)
+def test_non_finite_matrices_are_rejected(build, match):
+    # NaN compares false against every tolerance, so only a finiteness check catches it.
+    with pytest.raises(ValidationError, match=f"{match} has non-finite entries"):
+        build()
+
+
 def test_system_defensive_copies():
     H_A = np.array(SIGMA_Z)
     system = BipartiteSystem(
