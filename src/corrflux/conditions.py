@@ -67,6 +67,10 @@ class ConditionReport:
     samples: int | None = None
     seed: int | None = None
 
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol >= 0):
+            raise model.ValidationError(f"tol must be a finite nonnegative number, got {self.tol}")
+
     @property
     def commutator_ok(self) -> bool:
         return self.commutator_residual <= self.tol

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .linalg import frobenius_norm, identity, kron
+from .linalg import embed_A, embed_B, frobenius_norm, kron
 
 __all__ = [
     "NonUniqueSteadyStateError",
@@ -59,55 +59,61 @@ class TrajectoryDiagnosticsWarning(UserWarning):
 class Generator:
     """The GKLS generator of one system, compiled once.
 
-    Holds the total Hamiltonian H, K = sum_k gamma_k L_k†L_k, the effective
-    Hamiltonian H_eff = H - (i/2) K and, per channel, the side tag, the jump
-    operator L (the channel's own array) and a precomputed gamma L†. Calling
-    the generator applies, with J_k = sqrt(gamma_k) L_k,
+    A channel's local operator l acts on the joint space as L = l (x) I_B or
+    I_A (x) l. Per side the generator keeps S = sum_k gamma_k l_k (x) conj(l_k)
+    (d_side^2 x d_side^2) and K = sum_k gamma_k L_k†L_k. Calling it applies
 
-        G(rho) = -i (H_eff rho - rho H_eff†) + sum_k J_k rho J_k†,
+        G(rho) = -i (H_eff rho - rho H_eff†) + [S_A R + R S_B^T],
 
-    which is the master equation above rewritten with two matrix products
-    per channel instead of four. J rho J† is evaluated as L rho (gamma L†),
-    so J is never formed and each channel costs one array, not two.
+    with H_eff = H - (i/2)(K_A + K_B), R the state regrouped from (a b, a' b')
+    to (a a', b b') and [.] the regrouping back: four matrix products whatever
+    the channel count, broadcast over stacks of states.
     """
 
     def __init__(self, system: model.BipartiteSystem):
-        self.dim = system.shape.dim
+        shape = system.shape
+        self.dim, self._sides = shape.dim, (shape.d_A, shape.d_B)
         self.H = model.total_hamiltonian(system)
-        self.jumps = []
-        self.K = np.zeros((self.dim, self.dim), dtype=complex)
-        for ch in system.channels:
-            L = ch.operator
-            gamma_Ld = ch.rate * L.conj().T
-            self.jumps.append((ch.bath_tag, L, gamma_Ld))
-            self.K += gamma_Ld @ L
-        self.H_eff = self.H - 0.5j * self.K
+        self._S, self._K = {}, {}
+        for tag, d_side, embed in (("A", shape.d_A, embed_A), ("B", shape.d_B, embed_B)):
+            chs = [ch for ch in system.channels if ch.bath_tag == tag]
+            rates = np.array([ch.rate for ch in chs]).reshape(-1, 1, 1)
+            l = np.array([ch.operator for ch in chs], dtype=complex).reshape(-1, d_side, d_side)
+            self._S[tag] = (rates * kron(l, l.conj())).sum(axis=0)
+            self._K[tag] = embed((rates * (l.conj().swapaxes(-1, -2) @ l)).sum(axis=0), shape)
+        self._K[None] = self._K["A"] + self._K["B"]
+        self.H_eff = self.H - 0.5j * self._K[None]
         self._H_eff_dag = self.H_eff.conj().T
 
+    def _regroup(self, m: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """(..., a b, a' b') to (..., a a', b b'), or back with inverse=True."""
+        d_A, d_B = self._sides
+        split = (d_A, d_A, d_B, d_B) if inverse else (d_A, d_B, d_A, d_B)
+        merged = (self.dim, self.dim) if inverse else (d_A * d_A, d_B * d_B)
+        stack = m.shape[:-2]
+        return m.reshape(*stack, *split).swapaxes(-3, -2).reshape(*stack, *merged)
+
     def __call__(self, rho: np.ndarray) -> np.ndarray:
-        out = -1j * (self.H_eff @ rho - rho @ self._H_eff_dag)
-        for _, L, gamma_Ld in self.jumps:
-            out += L @ rho @ gamma_Ld
-        return out
+        R = self._regroup(rho)
+        jumps = self._regroup(self._S["A"] @ R + R @ self._S["B"].T, inverse=True)
+        return jumps - 1j * (self.H_eff @ rho - rho @ self._H_eff_dag)
 
     def adjoint(self, observable: np.ndarray, side: str | None = None) -> np.ndarray:
         """Hilbert-Schmidt adjoint of the dissipative part applied to an observable.
 
-        Returns sum_k J† O J - (1/2){O, K} over the channels whose bath_tag is
-        side (all channels for side=None). The Hamiltonian part is
-        deliberately excluded; it never moves Tr[O rho] for O = H.
+        Returns sum_k gamma_k L_k† O L_k - (1/2){O, K} over the channels whose
+        bath_tag is side (all channels for side=None); the jump sum is
+        S_A† R + R conj(S_B). The Hamiltonian part is deliberately excluded;
+        it never moves Tr[O rho] for O = H.
         """
         if side not in (None, "A", "B"):
             raise ValueError(f"side must be 'A', 'B' or None, got {side!r}")
         O = np.asarray(observable, dtype=complex)
-        jumps = [(L, gamma_Ld) for tag, L, gamma_Ld in self.jumps if side in (None, tag)]
-        K = self.K
-        if side is not None:
-            K = sum((gamma_Ld @ L for L, gamma_Ld in jumps), np.zeros_like(self.K))
-        out = -0.5 * (O @ K + K @ O)
-        for L, gamma_Ld in jumps:
-            out += gamma_Ld @ O @ L
-        return out
+        R = self._regroup(O)
+        per_side = {"A": self._S["A"].conj().T @ R, "B": R @ self._S["B"].conj()}
+        jumps = sum(per_side[tag] for tag in "AB" if side in (None, tag))
+        K = self._K[side]
+        return self._regroup(jumps, inverse=True) - 0.5 * (O @ K + K @ O)
 
     def step(self, rho: np.ndarray, dt: float) -> np.ndarray:
         """One classical RK4 step; dt may be negative."""
@@ -118,16 +124,15 @@ class Generator:
         return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def matrix(self) -> np.ndarray:
-        """Dense d^2 x d^2 matrix of the generator on row-major vectorized states.
+        """Dense d^2 x d^2 matrix of the generator on row-major vectorized states."""
+        return _matrix_of(self, self.dim)
 
-        With vec stacking rows, vec(A X B) = (A kron B^T) vec(X), so the
-        matrix is -i (H_eff kron I - I kron conj(H_eff)) + sum_k J kron conj(J).
-        """
-        eye = identity(self.dim)
-        sup = -1j * (kron(self.H_eff, eye) - kron(eye, self.H_eff.conj()))
-        for _, L, gamma_Ld in self.jumps:
-            sup += kron(L, gamma_Ld.T)
-        return sup
+
+def _matrix_of(linear_map, d: int) -> np.ndarray:
+    """The d^2 x d^2 matrix on row-major vec of a linear map that broadcasts over
+    stacks: column j is its image of the j-th unit matrix, all mapped at once."""
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return linear_map(units).reshape(d * d, d * d).T
 
 
 @dataclass(eq=False)
@@ -195,10 +200,7 @@ def _full_steps(generator: Generator, dt: float, n_full: int):
 
         return loop
 
-    # Column j of P is the step of the j-th unit matrix; the generator's
-    # products broadcast over the stack of all d^2 of them.
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    step_matrix = generator.step(units, dt).reshape(d * d, d * d).T
+    step_matrix = _matrix_of(lambda units: generator.step(units, dt), d)
     powers = {}  # at most two: record_every and the shorter last interval
 
     def propagate(rho, k):
@@ -240,8 +242,11 @@ def integrate(
             f"initial state dim {rho.shape[0]} does not match system dim {system.shape.dim}"
         )
 
+    n_full = np.floor(t_final / dt + 1e-12)
+    if not n_full < np.iinfo(np.intp).max:
+        raise model.ValidationError(f"t_final = {t_final} and dt = {dt} give a step count beyond the index range")
+    n_full = int(n_full)
     generator = Generator(system)
-    n_full = int(np.floor(t_final / dt + 1e-12))
     remainder = t_final - n_full * dt
     if remainder < 1e-12 * max(dt, 1.0):
         remainder = 0.0

@@ -1,8 +1,8 @@
 """Bipartite open-system descriptions.
 
 A system is H = H_A (x) I + I (x) H_B + V together with a list of jump
-channels acting locally on one side. Thermal channels between eigenlevels
-m, n of a local Hamiltonian obey detailed balance,
+channels, each an operator on one side's factor. Thermal channels between
+eigenlevels m, n of a local Hamiltonian obey detailed balance,
 
     gamma_mn = gamma_nm * exp(-beta (E_m - E_n)),
 
@@ -31,11 +31,8 @@ from .linalg import (
     dagger,
     embed_A,
     embed_B,
-    frobenius_norm,
     hermitian_eig,
-    identity,
     kron,
-    partial_trace,
     require_hermitian,
 )
 
@@ -83,11 +80,11 @@ def _finite_matrix(m, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class JumpChannel:
-    """One GKLS jump operator, already lifted to the joint space.
+    """One GKLS jump channel, local to the side that bath_tag ("A" or "B") names.
 
-    rate is the nonnegative prefactor gamma of the dissipator term
-    gamma * (L rho L† - (1/2){L†L, rho}). bath_tag records which side the
-    channel acts on ("A" or "B"); label is free-form text such as "A:1<-0".
+    operator is l, a d_side x d_side matrix; only dynamics.Generator lifts it
+    to L = l (x) I_B or I_A (x) l. rate is the nonnegative prefactor gamma of
+    gamma * (L rho L† - (1/2){L†L, rho}); label is free text such as "A:1<-0".
     """
 
     operator: np.ndarray
@@ -112,7 +109,7 @@ class BipartiteSystem:
     """Closed description of the model: local Hamiltonians, coupling, noise.
 
     H_A and H_B are bare local Hamiltonians (d_A and d_B dimensional), V is
-    the interaction on the joint space, channels hold every jump operator.
+    the interaction on the joint space, channels hold every local jump operator.
     alpha_A fixes how the scalar mean of V is split between the two local
     energy accounts; alpha_B = 1 - alpha_A. Treat instances as immutable.
     """
@@ -144,10 +141,11 @@ class BipartiteSystem:
             object.__setattr__(self, name, frozen)
         object.__setattr__(self, "channels", tuple(self.channels))
         for ch in self.channels:
-            if ch.operator.shape[0] != self.shape.dim:
+            d_side = self.shape.d_A if ch.bath_tag == "A" else self.shape.d_B
+            if ch.operator.shape[0] != d_side:
                 raise ShapeError(
                     f"channel {ch.label!r} dim {ch.operator.shape[0]} "
-                    f"does not match joint dim {self.shape.dim}"
+                    f"does not match d_{ch.bath_tag} = {d_side}"
                 )
         if not (0.0 <= self.alpha_A <= 1.0):
             raise ValidationError(f"alpha_A must lie in [0, 1], got {self.alpha_A}")
@@ -206,7 +204,7 @@ def build_thermal_channels(
     eigenvectors of H_local) the builder also emits the reverse jump t -> f
     with rate r * exp(-beta (E_f - E_t)), so every pair satisfies detailed
     balance exactly. The local spectrum must be nondegenerate; operators are
-    returned already lifted to the joint space.
+    returned as d_side x d_side matrices on the side's own factor.
     """
     if bath_tag not in ("A", "B"):
         raise ValidationError(f"bath_tag must be 'A' or 'B', got {bath_tag!r}")
@@ -224,8 +222,6 @@ def build_thermal_channels(
             f"local spectrum on side {bath_tag} has a gap below {DEGENERACY_GAP:.1e}; "
             "thermal level pairs are ill-defined"
         )
-    embed = embed_A if bath_tag == "A" else embed_B
-
     channels = []
     for (src, dst) in sorted(bath.base_rates):
         rate = bath.base_rates[(src, dst)]
@@ -238,10 +234,10 @@ def build_thermal_channels(
         jump_rev = np.outer(vecs[:, src], vecs[:, dst].conj())
         rate_rev = rate * float(np.exp(-bath.beta * (energies[src] - energies[dst])))
         channels.append(
-            JumpChannel(embed(jump_fwd, shape), rate, bath_tag, f"{bath_tag}:{dst}<-{src}")
+            JumpChannel(jump_fwd, rate, bath_tag, f"{bath_tag}:{dst}<-{src}")
         )
         channels.append(
-            JumpChannel(embed(jump_rev, shape), rate_rev, bath_tag, f"{bath_tag}:{src}<-{dst}")
+            JumpChannel(jump_rev, rate_rev, bath_tag, f"{bath_tag}:{src}<-{dst}")
         )
     return channels
 
@@ -262,16 +258,13 @@ def detailed_balance_residual(
     if bath_tag not in ("A", "B"):
         raise ValidationError(f"bath_tag must be 'A' or 'B', got {bath_tag!r}")
     d_local = shape.d_A if bath_tag == "A" else shape.d_B
-    d_other = shape.d_B if bath_tag == "A" else shape.d_A
     energies, vecs = hermitian_eig(H_local)
-    embed = embed_A if bath_tag == "A" else embed_B
 
     rates: dict[tuple[int, int], float] = {}
     for ch in channels:
-        local = partial_trace(ch.operator, shape, bath_tag) / d_other
-        if frobenius_norm(embed(local, shape) - ch.operator) > 1e-12:
-            raise ValidationError(f"channel {ch.label!r} does not act locally on side {bath_tag}")
-        in_eigbasis = dagger(vecs) @ local @ vecs
+        if ch.bath_tag != bath_tag or ch.operator.shape[0] != d_local:
+            raise ValidationError(f"channel {ch.label!r} is not a side {bath_tag} operator of dim {d_local}")
+        in_eigbasis = dagger(vecs) @ ch.operator @ vecs
         flat = np.abs(in_eigbasis)
         m, n = np.unravel_index(int(flat.argmax()), flat.shape)
         rest = flat.copy()
@@ -484,11 +477,10 @@ def _parse_explicit_channels(doc: dict, shape: BipartiteShape) -> list[JumpChann
         rate = _require_number(raw, "rate", where)
         d_local = shape.d_A if side == "A" else shape.d_B
         op = matrix_from_json(raw.get("operator"), d_local, f"{where}.operator")
-        embed = embed_A if side == "A" else embed_B
         label = raw.get("label", f"{side}:channel{i}")
         if not isinstance(label, str):
             raise ValidationError(f"{where}.label: expected a string")
-        channels.append(JumpChannel(embed(op, shape), rate, side, label))
+        channels.append(JumpChannel(op, rate, side, label))
     return channels
 
 

@@ -93,17 +93,15 @@ def thermal_marginals(params: ExampleParams) -> tuple[np.ndarray, np.ndarray]:
 
 def build_example(params: ExampleParams) -> tuple[BipartiteSystem, np.ndarray]:
     """Assemble the two-qubit system and its tilted-thermal initial state."""
-    shape = BipartiteShape(2, 2)
-    eye = np.eye(2, dtype=complex)
     rates = _rates(params)
-    channels = (
-        JumpChannel(np.kron(_RAISE, eye), rates["A:1<-0"], "A", "A:1<-0"),
-        JumpChannel(np.kron(_LOWER, eye), rates["A:0<-1"], "A", "A:0<-1"),
-        JumpChannel(np.kron(eye, _RAISE), rates["B:1<-0"], "B", "B:1<-0"),
-        JumpChannel(np.kron(eye, _LOWER), rates["B:0<-1"], "B", "B:0<-1"),
+    operators = {"1<-0": _RAISE, "0<-1": _LOWER}
+    channels = tuple(
+        JumpChannel(operators[jump], rates[f"{side}:{jump}"], side, f"{side}:{jump}")
+        for side in "AB"
+        for jump in operators
     )
     system = BipartiteSystem(
-        shape=shape,
+        shape=BipartiteShape(2, 2),
         H_A=params.omega_A * SIGMA_Z,
         H_B=params.omega_B * SIGMA_Z,
         V=params.g * kron(SIGMA_Z, SIGMA_Z),

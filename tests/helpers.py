@@ -1,14 +1,15 @@
-"""Shared builders for randomized test systems."""
+"""Shared builders for randomized test systems and a per-channel reference generator."""
 
 import numpy as np
 
 from corrflux.dynamics import Generator
-from corrflux.linalg import BipartiteShape, random_hermitian
+from corrflux.linalg import BipartiteShape, embed_A, embed_B, random_hermitian
 from corrflux.model import (
     BipartiteSystem,
     JumpChannel,
     ThermalBathSpec,
     build_thermal_channels,
+    total_hamiltonian,
 )
 
 
@@ -39,14 +40,56 @@ def dissipative_part(system, side=None):
     )
 
 
+def lifted_channels(system, side=None):
+    """(rate, L) of each channel on one side (all for None), L lifted to the joint space."""
+    lift = {"A": embed_A, "B": embed_B}
+    return [
+        (ch.rate, lift[ch.bath_tag](ch.operator, system.shape))
+        for ch in system.channels
+        if side in (None, ch.bath_tag)
+    ]
+
+
+def reference_generator(system, rho):
+    """The master equation written channel by channel, on a state or a stack:
+
+    -i[H, rho] + sum_k gamma_k (L_k rho L_k† - (1/2){L_k†L_k, rho}).
+    """
+    H = total_hamiltonian(system)
+    out = -1j * (H @ rho - rho @ H)
+    for rate, L in lifted_channels(system):
+        LdL = L.conj().T @ L
+        out = out + rate * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
+    return out
+
+
+def reference_adjoint(system, O, side=None):
+    """sum_k gamma_k (L_k† O L_k - (1/2){O, L_k†L_k}) over one side's channels (all for None)."""
+    out = np.zeros(np.shape(O), dtype=complex)
+    for rate, L in lifted_channels(system, side):
+        LdL = L.conj().T @ L
+        out = out + rate * (L.conj().T @ O @ L - 0.5 * (O @ LdL + LdL @ O))
+    return out
+
+
+def reference_matrix(system):
+    """The generator's d^2 x d^2 matrix on row-major vec, from vec(A X B) = (A kron B^T) vec(X)."""
+    eye = np.eye(system.shape.dim)
+    H = total_hamiltonian(system)
+    out = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    for rate, L in lifted_channels(system):
+        LdL = L.conj().T @ L
+        out = out + rate * (np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T)))
+    return out
+
+
 def random_system(rng, d_A=2, d_B=2, channels_per_side=2, alpha_A=None):
     """Generic random system: dense local jump operators, no structure."""
     shape = BipartiteShape(d_A, d_B)
     channels = []
     for side, d in (("A", d_A), ("B", d_B)):
         for k in range(channels_per_side):
-            L = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            op = np.kron(L, np.eye(d_B)) if side == "A" else np.kron(np.eye(d_A), L)
+            op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             channels.append(JumpChannel(op, float(rng.uniform(0.1, 1.0)), side, f"{side}:rand{k}"))
     return BipartiteSystem(
         shape=shape,
@@ -64,8 +107,7 @@ def random_dephasing_system(rng, d_A=2, d_B=2):
     channels = []
     for side, d in (("A", d_A), ("B", d_B)):
         for k in range(2):
-            op_local = np.diag(rng.uniform(-1.0, 1.0, size=d)).astype(complex)
-            op = np.kron(op_local, np.eye(d_B)) if side == "A" else np.kron(np.eye(d_A), op_local)
+            op = np.diag(rng.uniform(-1.0, 1.0, size=d)).astype(complex)
             channels.append(JumpChannel(op, float(rng.uniform(0.2, 1.0)), side, f"{side}:dephase{k}"))
     return BipartiteSystem(
         shape=shape,

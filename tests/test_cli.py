@@ -135,6 +135,16 @@ def test_run_input_errors(tmp_path, capsys):
     assert "positivity range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_final, dt", [(1e308, 1e-3), (1.0, 5e-324), (1e200, 0.01)])
+def test_run_step_count_beyond_an_index_exits_1(tmp_path, capsys, t_final, dt):
+    scenario, doc = write_scenario(tmp_path)
+    doc["integration"].update(t_final=t_final, dt=dt)
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["run", str(scenario), "--output", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "step count" in err
+
+
 def test_run_diagnostic_breach_exits_2_but_writes(tmp_path):
     # oversized fixed step on a dephasing channel: RK4 blows up the coherence
     doc = {
@@ -391,6 +401,13 @@ def test_check_conditions_report(tmp_path, capsys):
     assert report["seed"] == 3
     assert report["state_dependent"] is False
     assert report["adjoint_residual"] > 1.0
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_check_conditions_bad_tol_exits_1(tmp_path, capsys, tol):
+    scenario, _ = write_scenario(tmp_path)
+    assert cli.main(["check-conditions", str(scenario), "--samples", "1", "--tol", tol]) == 1
+    assert "tol must be a finite nonnegative number" in capsys.readouterr().err
 
 
 def test_check_conditions_seed_env_override(tmp_path, capsys, monkeypatch):

@@ -97,6 +97,16 @@ def test_check_conditions_report_shape():
     assert "samples" not in data
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0], ids=["nan", "negative"])
+def test_condition_reports_reject_a_tol_that_is_not_finite_and_nonnegative(tol):
+    # Against a NaN or negative tol even a residual of 0.0 would fail.
+    system, rho0 = build_example(STANDARD)
+    with pytest.raises(ValidationError, match="tol must be a finite nonnegative number"):
+        check_conditions(system, rho0, tol=tol)
+    with pytest.raises(ValidationError, match="tol must be a finite nonnegative number"):
+        check_conditions_sampled(system, samples=1, tol=tol)
+
+
 def test_check_conditions_sampled_reproducible():
     rng = np.random.default_rng(64)
     system = random_system(rng)

@@ -27,8 +27,16 @@ from corrflux.model import (
     gibbs_state,
     total_hamiltonian,
 )
+from corrflux.twoqubit import ExampleParams, build_example
 
-from helpers import dissipative_part, random_dephasing_system, random_system, random_thermal_system
+from helpers import (
+    dissipative_part,
+    random_system,
+    random_thermal_system,
+    reference_adjoint,
+    reference_generator,
+    reference_matrix,
+)
 
 RAISE = np.array([[0, 0], [1, 0]], dtype=complex)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -49,13 +57,12 @@ def test_dissipator_hand_value():
     # L = |1><0| (x) I at rate 1 on rho = |0><0| (x) I/2:
     # L rho L† = |1><1| (x) I/2 and {L†L, rho} = 2 |0><0| (x) I/2.
     shape = BipartiteShape(2, 2)
-    L = kron(RAISE, np.eye(2))
     system = BipartiteSystem(
         shape=shape,
         H_A=np.zeros((2, 2), dtype=complex),
         H_B=np.zeros((2, 2), dtype=complex),
         V=np.zeros((4, 4), dtype=complex),
-        channels=(JumpChannel(L, 1.0, "A", "A:raise"),),
+        channels=(JumpChannel(RAISE, 1.0, "A", "A:raise"),),
     )
     rho = kron(np.diag([1.0, 0.0]).astype(complex), 0.5 * np.eye(2))
     expected = kron(np.diag([-1.0, 1.0]).astype(complex), 0.5 * np.eye(2))
@@ -137,6 +144,36 @@ def test_cross_adjoint_vanishes():
         generator = Generator(system)
         assert np.max(np.abs(generator.adjoint(obs_B, side="A"))) <= 1e-13
         assert np.max(np.abs(generator.adjoint(obs_A, side="B"))) <= 1e-13
+
+
+@pytest.mark.parametrize("d_A, d_B", [(2, 3), (3, 2)])
+def test_generator_matches_per_channel_reference(d_A, d_B):
+    # Unequal sides catch an A/B mix-up in the regrouping of the state.
+    rng = np.random.default_rng(49)
+    system = random_system(rng, d_A=d_A, d_B=d_B)
+    d = d_A * d_B
+    generator = Generator(system)
+
+    def assert_close(actual, expected):
+        assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    rho = random_density_matrix(d, rng)
+    stack = np.array([random_density_matrix(d, rng) for _ in range(3)])
+    assert_close(generator(rho), reference_generator(system, rho))
+    assert_close(generator(stack), reference_generator(system, stack))
+
+    O = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for side in (None, "A", "B"):
+        assert_close(generator.adjoint(O, side), reference_adjoint(system, O, side))
+
+    dt = 0.05
+    k1 = reference_generator(system, rho)
+    k2 = reference_generator(system, rho + (0.5 * dt) * k1)
+    k3 = reference_generator(system, rho + (0.5 * dt) * k2)
+    k4 = reference_generator(system, rho + dt * k3)
+    assert_close(generator.step(rho, dt), rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+    assert_close(generator.matrix(), reference_matrix(system))
 
 
 def test_generator_step_matches_taylor_polynomial():
@@ -244,6 +281,14 @@ def test_integrate_validation():
         integrate(system, 2.0 * rho0, 1.0, 0.1)
     with pytest.raises(ValidationError):
         integrate(system, random_density_matrix(3, rng), 1.0, 0.1)
+
+
+@pytest.mark.parametrize("t_final, dt", [(1e308, 1e-3), (1.0, 5e-324), (1e200, 0.01)])
+def test_integrate_rejects_a_step_count_beyond_an_index(t_final, dt):
+    # The first two overflow to an infinite count, the third to an int beyond ssize_t.
+    system, rho0 = build_example(ExampleParams(omega_A=1.0, omega_B=1.0, g=0.2, beta_A=0.5, beta_B=1.0, c=0.02))
+    with pytest.raises(ValidationError, match="t_final = .* and dt = .* give a step count"):
+        integrate(system, rho0, t_final, dt)
 
 
 def test_integrate_rejects_non_finite_initial_state():
@@ -376,12 +421,11 @@ def test_steady_state_pure_decay():
 
 
 def test_steady_state_infinite_temperature():
-    eye = np.eye(2, dtype=complex)
     channels = (
-        JumpChannel(kron(RAISE, eye), 1.0, "A", "A:up"),
-        JumpChannel(kron(LOWER, eye), 1.0, "A", "A:down"),
-        JumpChannel(kron(eye, RAISE), 1.0, "B", "B:up"),
-        JumpChannel(kron(eye, LOWER), 1.0, "B", "B:down"),
+        JumpChannel(RAISE, 1.0, "A", "A:up"),
+        JumpChannel(LOWER, 1.0, "A", "A:down"),
+        JumpChannel(RAISE, 1.0, "B", "B:up"),
+        JumpChannel(LOWER, 1.0, "B", "B:down"),
     )
     system = BipartiteSystem(
         shape=BipartiteShape(2, 2),
@@ -402,7 +446,7 @@ def test_steady_state_nonunique_raises():
         H_A=np.zeros((2, 2), dtype=complex),
         H_B=np.zeros((2, 2), dtype=complex),
         V=np.zeros((4, 4), dtype=complex),
-        channels=(JumpChannel(kron(RAISE, np.eye(2)), 1.0, "A", "A:only"),),
+        channels=(JumpChannel(RAISE, 1.0, "A", "A:only"),),
     )
     with pytest.raises(NonUniqueSteadyStateError):
         steady_state(system)

@@ -74,8 +74,12 @@ def test_system_validation():
         BipartiteSystem(**{**good, "V": SIGMA_Z})
     with pytest.raises(ValidationError):
         BipartiteSystem(**{**good, "alpha_A": 1.5})
-    with pytest.raises(ShapeError):
-        BipartiteSystem(**good, channels=(JumpChannel(np.eye(2, dtype=complex), 1.0, "A", "small"),))
+    with pytest.raises(ShapeError, match="d_A = 2"):
+        BipartiteSystem(**good, channels=(JumpChannel(np.eye(4, dtype=complex), 1.0, "A", "joint"),))
+    lopsided = {**good, "shape": BipartiteShape(2, 3), "H_B": np.diag([1.0, 0.0, -1.0]), "V": np.zeros((6, 6))}
+    BipartiteSystem(**lopsided, channels=(JumpChannel(np.eye(3, dtype=complex), 1.0, "B", "B:ok"),))
+    with pytest.raises(ShapeError, match="d_A = 2"):
+        BipartiteSystem(**lopsided, channels=(JumpChannel(np.eye(3, dtype=complex), 1.0, "A", "B-sized"),))
 
 
 def _with_nan(m, i=0, j=1):
@@ -214,11 +218,14 @@ def test_detailed_balance_residual_flags_violations():
         detailed_balance_residual([JumpChannel(diag_op, 1.0, "A", "d")], SIGMA_Z, 1.0, "A", shape)
 
 
-def test_detailed_balance_residual_rejects_nonlocal_operator():
+def test_detailed_balance_residual_rejects_wrong_side_or_dimension():
     shape = BipartiteShape(2, 2)
-    ch = JumpChannel(np.kron(RAISE, SIGMA_X), 1.0, "A", "nonlocal")
-    with pytest.raises(ValidationError):
-        detailed_balance_residual([ch], SIGMA_Z, 1.0, "A", shape)
+    wrong_side = JumpChannel(RAISE, 1.0, "B", "B-tagged")
+    with pytest.raises(ValidationError, match="'B-tagged' is not a side A operator of dim 2"):
+        detailed_balance_residual([wrong_side], SIGMA_Z, 1.0, "A", shape)
+    joint = JumpChannel(np.kron(RAISE, SIGMA_X), 1.0, "A", "joint")
+    with pytest.raises(ValidationError, match="'joint' is not a side A operator of dim 2"):
+        detailed_balance_residual([joint], SIGMA_Z, 1.0, "A", shape)
 
 
 def test_gibbs_state_sigma_z():
@@ -353,8 +360,9 @@ def test_parse_scenario_explicit_channels():
     ch_A, ch_B = scenario.system.channels
     assert ch_A.label == "A:dephase"
     assert ch_A.rate == 0.5
-    assert np.max(np.abs(ch_A.operator - kron(SIGMA_Z, np.eye(2)))) <= 1e-15
-    assert np.max(np.abs(ch_B.operator - kron(np.eye(2), SIGMA_Z))) <= 1e-15
+    assert np.array_equal(ch_A.operator, SIGMA_Z)
+    assert np.array_equal(ch_B.operator, SIGMA_Z)
+    assert ch_B.bath_tag == "B"
     assert ch_B.label == "B:channel1"
     assert scenario.record_every == 1
 

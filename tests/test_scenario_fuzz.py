@@ -1,0 +1,84 @@
+"""Property test: a malformed scenario document fails only with the package's input errors."""
+
+import copy
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corrflux.linalg import ShapeError
+from corrflux.model import ValidationError, matrix_to_json, parse_scenario
+from corrflux.twoqubit import ExampleParams, scenario_document
+
+EXAMPLE = scenario_document(
+    ExampleParams(omega_A=1.0, omega_B=1.0, g=0.2, beta_A=0.5, beta_B=1.0, c=0.02),
+    t_final=0.1,
+    dt=1e-2,
+)
+
+
+def _channel(side, dim):
+    return [{"side": side, "rate": 1.0, "operator": matrix_to_json(np.diag(np.arange(dim)))}]
+
+
+def _paths(*dotted):
+    return [tuple(int(key) if key.isdigit() else key for key in path.split(".")) for path in dotted]
+
+
+SCALARS = [float("nan"), float("inf"), 1e308, -1e308, 5e-324, -1.0, 0, True, "text", None]
+MATRICES = [
+    matrix_to_json(np.eye(3)),
+    matrix_to_json(1e308 * np.ones((2, 2))),
+    matrix_to_json(1e308 * np.ones((4, 4))),
+    [[float("nan"), 0.0]] * 4,
+    [["1", 0.0]] * 4,
+    [[1.0, 0.0]],
+    "text",
+    {},
+]
+STRUCTURES = [None, [], {}, "text", 3]
+# A valid explicit channel, channels of the wrong size for their side, and a bad side.
+CHANNELS = [_channel("A", 2), _channel("B", 3), _channel("A", 4), _channel("C", 2)]
+
+MUTATIONS = (
+    [
+        (path, value)
+        for path in _paths(
+            "shape.dA", "V.g", "alpha_A", "baths.0.side", "baths.0.beta", "baths.1.base_rates.0.from",
+            "baths.1.base_rates.0.rate", "initial_state.c", "integration.t_final", "integration.dt",
+            "integration.record_every",
+        )
+        for value in SCALARS
+    ]
+    + [(path, value) for path in _paths("H_A", "H_B", "V", "initial_state") for value in MATRICES]
+    + [
+        (path, value)
+        for path in _paths("shape", "baths", "baths.0", "baths.1.base_rates", "channels", "integration")
+        for value in STRUCTURES
+    ]
+    + [(("channels",), value) for value in CHANNELS]
+)
+
+
+def _mutated(mutations):
+    """The example document with each value set at its path; an earlier
+    mutation can make a later path unreachable, and that one is skipped."""
+    document = copy.deepcopy(EXAMPLE)
+    for path, value in mutations:
+        try:
+            parent = document
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            pass
+    return document
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3))
+def test_parse_scenario_lets_only_input_errors_escape(mutations):
+    try:
+        parse_scenario(_mutated(mutations))
+    except (ValidationError, ShapeError):
+        pass
