@@ -22,10 +22,8 @@ from .model import (
 )
 from .dynamics import (
     Generator,
-    NonUniqueSteadyStateError,
     Trajectory,
     integrate,
-    steady_state,
 )
 from .energetics import (
     Decomposition,
@@ -69,10 +67,8 @@ __all__ = [
     "parse_scenario",
     "total_hamiltonian",
     "Generator",
-    "NonUniqueSteadyStateError",
     "Trajectory",
     "integrate",
-    "steady_state",
     "Decomposition",
     "EffectiveHamiltonians",
     "EnergyLedger",

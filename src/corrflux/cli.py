@@ -7,9 +7,7 @@ Subcommands:
   example           materialize and run the built-in two-qubit scenario
 
 Exit codes: 0 success; 1 input error; 2 the run finished but breached its
-trace/positivity diagnostics (output files are still written). The
-environment variable CORRFLUX_SEED overrides the check-conditions
-sampling seed.
+trace/positivity diagnostics (output files are still written).
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ import argparse
 import contextlib
 import copy
 import json
+import math
 import os
 import re
 import sys
@@ -33,7 +32,6 @@ __all__ = ["main", "RunRecord", "COLUMNS"]
 _RUN_COLUMNS = ("chi_norm", "trace_drift", "min_eig", "cond_i_resid", "cond_ii_resid")
 COLUMNS = ("t", *(f.name for f in fields(energetics.EnergyLedger)), *_RUN_COLUMNS)
 
-DEFAULT_SAMPLING_SEED = 0
 SIGN_ZERO_TOL = 1e-12
 
 RunRecord = make_dataclass(
@@ -83,9 +81,16 @@ def write_records_csv(records, path) -> None:
 
 
 def write_records_json(records, path) -> None:
+    """One object per record; a non-finite value, which JSON cannot hold, is written as null."""
     data = [{col: float(getattr(rec, col)) for col in COLUMNS} for rec in records]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, indent=2)
+        try:
+            json.dump(data, fh, indent=2, allow_nan=False)
+        except ValueError:
+            # Only a diverged run gets here, so a finite table pays no per-cell check.
+            fh.seek(0)
+            fh.truncate()
+            json.dump([{col: (x if math.isfinite(x) else None) for col, x in row.items()} for row in data], fh, indent=2)
         fh.write("\n")
 
 
@@ -182,20 +187,10 @@ def _cmd_sweep(args) -> int:
     return status
 
 
-def _sampling_seed(args) -> int:
-    env = os.environ.get("CORRFLUX_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise model.ValidationError(f"CORRFLUX_SEED must be an integer, got {env!r}") from exc
-    return args.seed
-
-
 def _cmd_check_conditions(args) -> int:
     scenario = model.load_scenario(args.scenario)
     report = conditions.check_conditions_sampled(
-        scenario.system, samples=args.samples, tol=args.tol, seed=_sampling_seed(args)
+        scenario.system, samples=args.samples, tol=args.tol, seed=args.seed
     )
     print(json.dumps(report.to_json(), indent=2))
     return 0
@@ -248,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check-conditions", help="sample the no-exchange conditions")
     p_check.add_argument("scenario", help="path to a scenario JSON file")
     p_check.add_argument("--samples", type=int, default=conditions.DEFAULT_SAMPLES)
-    p_check.add_argument("--seed", type=int, default=DEFAULT_SAMPLING_SEED)
+    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--tol", type=float, default=conditions.DEFAULT_TOL)
     p_check.set_defaults(func=_cmd_check_conditions)
 

@@ -62,7 +62,6 @@ class ConditionReport:
 
     commutator_residual: float
     adjoint_residual: float
-    state_dependent: bool
     tol: float
     samples: int | None = None
     seed: int | None = None
@@ -70,6 +69,11 @@ class ConditionReport:
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol >= 0):
             raise model.ValidationError(f"tol must be a finite nonnegative number, got {self.tol}")
+
+    @property
+    def state_dependent(self) -> bool:
+        """True for a report at one state, False for the worst case over samples."""
+        return self.samples is None
 
     @property
     def commutator_ok(self) -> bool:
@@ -106,7 +110,6 @@ def check_conditions(
     return ConditionReport(
         commutator_residual=commutator_residual(system, rho),
         adjoint_residual=adjoint_residual(system),
-        state_dependent=True,
         tol=tol,
     )
 
@@ -133,7 +136,6 @@ def check_conditions_sampled(
     return ConditionReport(
         commutator_residual=worst,
         adjoint_residual=adjoint_residual(system),
-        state_dependent=False,
         tol=tol,
         samples=samples,
         seed=seed,

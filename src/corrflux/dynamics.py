@@ -1,4 +1,4 @@
-"""Markovian dynamics: generator application, time stepping, steady states.
+"""Markovian dynamics: generator application and time stepping.
 
 The master equation is (hbar = 1)
 
@@ -11,10 +11,10 @@ its jump channels. The Hilbert-Schmidt adjoint of the dissipative part,
 
 drives observable expectations: d<O>/dt = Tr[D#[O] rho] for [H, O] = 0.
 Both are methods of Generator, the one encoding of the channel sum; the
-RK4 stepper, the steady state, the energy ledger and condition (ii) all
-apply it. Integration is fixed-step classical RK4 with no renormalization;
-trace and positivity are monitored per record and reported, never
-silently repaired.
+RK4 stepper, the energy ledger and condition (ii) all apply it.
+Integration is fixed-step classical RK4 with no renormalization; trace
+and positivity are monitored per record and reported, never silently
+repaired.
 """
 
 from __future__ import annotations
@@ -25,15 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .linalg import embed_A, embed_B, frobenius_norm, kron
+from .linalg import embed_A, embed_B, kron, state_diagnostics
 
 __all__ = [
-    "NonUniqueSteadyStateError",
     "TrajectoryDiagnosticsWarning",
     "Trajectory",
     "Generator",
     "integrate",
-    "steady_state",
 ]
 
 # Per-record sanity level: beyond this the trajectory is flagged.
@@ -43,13 +41,6 @@ EIG_FLAG_TOL = -1e-8
 # status, and the command line front end signals it through its exit code.
 TRACE_BREACH_TOL = 1e-6
 EIG_BREACH_TOL = -1e-6
-
-KERNEL_GAP_TOL = 1e-8
-STEADY_STATE_RESIDUAL_TOL = 1e-9
-
-
-class NonUniqueSteadyStateError(RuntimeError):
-    """The generator kernel is not one dimensional."""
 
 
 class TrajectoryDiagnosticsWarning(UserWarning):
@@ -123,17 +114,6 @@ class Generator:
         k4 = self(rho + dt * k3)
         return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def matrix(self) -> np.ndarray:
-        """Dense d^2 x d^2 matrix of the generator on row-major vectorized states."""
-        return _matrix_of(self, self.dim)
-
-
-def _matrix_of(linear_map, d: int) -> np.ndarray:
-    """The d^2 x d^2 matrix on row-major vec of a linear map that broadcasts over
-    stacks: column j is its image of the j-th unit matrix, all mapped at once."""
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    return linear_map(units).reshape(d * d, d * d).T
-
 
 @dataclass(eq=False)
 class Trajectory:
@@ -170,28 +150,35 @@ class Trajectory:
         return self._outside(TRACE_BREACH_TOL, EIG_BREACH_TOL)
 
 
-def _diagnose(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Trajectory diagnostics of a stack of states; NaN eigenvalue where not finite."""
-    states_dag = states.conj().swapaxes(-1, -2)
-    min_eig = np.full(len(states), np.nan)
-    finite = np.isfinite(states).all(axis=(-2, -1))
-    min_eig[finite] = np.linalg.eigvalsh(0.5 * (states + states_dag)[finite]).min(axis=-1)
-    trace_drift = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
-    return trace_drift, np.abs(states - states_dag).max(axis=(-2, -1)), min_eig
+# Work in complex multiply-adds, fitted to timings with one BLAS thread: an RK4
+# step is four generator calls of about 4 d^3 plus numpy call overhead worth
+# STEP_OVERHEAD; building P steps d^2 unit matrices in one memory-bound batch,
+# about 80 d^5 plus three steps' overhead; a product in matrix_power is d^6, and
+# applying a power is a memory-bound d^2 x d^2 matrix-vector product, about 4 d^4.
+STEP_OVERHEAD = 4.5e5
 
 
-def _full_steps(generator: Generator, dt: float, n_full: int):
-    """The kernel that advances a state by k full RK4 steps, chosen by size.
+def _step_matrix_pays(d: int, record_every: int, n_full: int) -> bool:
+    """Whether building P, its powers and one product per record interval cost
+    less than n_full steps one by one."""
+    intervals = {min(record_every, n_full), n_full % record_every} - {0}
+    products = sum(k.bit_length() + bin(k).count("1") - 2 for k in intervals)
+    records = -(-n_full // record_every)
+    cost = 80 * d**5 + 3 * STEP_OVERHEAD + products * d**6 + records * 4 * d**4
+    return cost < n_full * (16 * d**3 + STEP_OVERHEAD)
+
+
+def _full_steps(generator: Generator, dt: float, n_full: int, record_every: int):
+    """The kernel that advances a state by k full RK4 steps.
 
     One RK4 step of a linear, time-independent generator is a fixed
-    d^2 x d^2 matrix P on row-major vec(rho). Building P costs about d^2
-    steps, so it is used when the run has more full steps than that; the
-    state then moves by one power of P per record interval, each power
-    computed once. Otherwise, as at large d where P's d^4 memory would
-    not pay off, the steps run one by one.
+    d^2 x d^2 matrix P on row-major vec(rho); column j is the step of the
+    j-th unit matrix. Where _step_matrix_pays, as at d = 4, the state moves
+    by one power of P per record interval, each power computed once.
+    Otherwise, as at d = 36, the steps run one by one and P is never built.
     """
     d = generator.dim
-    if d * d >= n_full:
+    if not _step_matrix_pays(d, record_every, n_full):
 
         def loop(rho, k):
             for _ in range(k):
@@ -200,7 +187,8 @@ def _full_steps(generator: Generator, dt: float, n_full: int):
 
         return loop
 
-    step_matrix = _matrix_of(lambda units: generator.step(units, dt), d)
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    step_matrix = generator.step(units, dt).reshape(d * d, d * d).T
     powers = {}  # at most two: record_every and the shorter last interval
 
     def propagate(rho, k):
@@ -261,7 +249,7 @@ def integrate(
     done = 0
     # A diverging run is reported below, not by numpy's overflow warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        advance = _full_steps(generator, dt, n_full)
+        advance = _full_steps(generator, dt, n_full, record_every)
         for step in record_steps:
             full = min(step, n_full)
             if full > done:
@@ -276,7 +264,7 @@ def integrate(
                 problem = f"state is not finite at step {step} (t = {t:.6g}); integration stopped"
                 break
         states = np.array(states)
-        tr, herm, eig = _diagnose(states)
+        tr, herm, eig = state_diagnostics(states)
 
     traj = Trajectory(
         times=np.array(times),
@@ -293,33 +281,3 @@ def integrate(
     if problem is not None:
         warnings.warn(problem, TrajectoryDiagnosticsWarning, stacklevel=2)
     return traj
-
-
-def steady_state(system: model.BipartiteSystem, kernel_gap_tol: float = KERNEL_GAP_TOL) -> np.ndarray:
-    """Extract the unique stationary state from the vectorized generator.
-
-    Takes the right singular vector of the smallest singular value of the
-    generator's matrix (its null vector), reshapes, hermitizes and normalizes.
-    Raises NonUniqueSteadyStateError when the second-smallest singular value
-    is below kernel_gap_tol, i.e. the kernel is not one dimensional.
-    """
-    d = system.shape.dim
-    generator = Generator(system)
-    _, svals, vh = np.linalg.svd(generator.matrix())
-    if len(svals) > 1 and svals[-2] < kernel_gap_tol:
-        raise NonUniqueSteadyStateError(
-            f"generator kernel is not one dimensional "
-            f"(second-smallest singular value {svals[-2]:.3e} < {kernel_gap_tol:.1e})"
-        )
-    candidate = vh[-1].conj().reshape(d, d)
-    candidate = 0.5 * (candidate + candidate.conj().T)
-    tr = np.trace(candidate).real
-    if abs(tr) < 1e-12:
-        raise NonUniqueSteadyStateError("null vector of the generator is traceless")
-    rho_ss = candidate / tr
-    residual = frobenius_norm(generator(rho_ss))
-    if residual > STEADY_STATE_RESIDUAL_TOL:
-        raise RuntimeError(
-            f"steady-state residual {residual:.3e} exceeds {STEADY_STATE_RESIDUAL_TOL:.1e}"
-        )
-    return rho_ss

@@ -4,8 +4,9 @@ Every operator (state, Hamiltonian, jump operator) is a plain numpy array
 with dtype complex128. Target systems stay below total dimension ~64, so
 storage is dense and all algorithms are direct. Subsystem A is always the
 slow (left) Kronecker factor: a product operator is kron(op_A, op_B).
-kron, embed_A, embed_B, partial_trace and frobenius_norm also take stacks
-of matrices, arrays of shape (..., n, n), and act on each matrix alike.
+kron, embed_A, embed_B, partial_trace, frobenius_norm, hermiticity_residual and
+state_diagnostics also take stacks of matrices, arrays of shape (..., n, n), and
+act on each matrix alike.
 """
 
 from __future__ import annotations
@@ -23,18 +24,15 @@ __all__ = [
     "SIGMA_Z",
     "identity",
     "dagger",
-    "trace",
     "frobenius_norm",
-    "trace_distance",
-    "commutator",
     "kron",
     "embed_A",
     "embed_B",
     "partial_trace",
     "hermiticity_residual",
+    "state_diagnostics",
     "require_hermitian",
     "hermitian_eig",
-    "random_hermitian",
     "random_density_matrix",
 ]
 
@@ -97,29 +95,9 @@ def dagger(m) -> np.ndarray:
     return np.asarray(m, dtype=complex).conj().T
 
 
-def trace(m) -> complex:
-    return complex(np.trace(_square(m)))
-
-
 def frobenius_norm(m):
     """sqrt(sum |m_ij|^2): a float for one matrix, an array for a stack."""
-    norm = np.linalg.norm(np.asarray(m, dtype=complex), axis=(-2, -1))
-    return float(norm) if norm.ndim == 0 else norm
-
-
-def trace_distance(a, b) -> float:
-    """(1/2) * sum of absolute eigenvalues of (a - b), for Hermitian a, b."""
-    d = _square(a, "a") - _square(b, "b")
-    d = 0.5 * (d + dagger(d))
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(d)).sum())
-
-
-def commutator(a, b) -> np.ndarray:
-    a = _square(a, "a")
-    b = _square(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"commutator needs equal shapes, got {a.shape} and {b.shape}")
-    return a @ b - b @ a
+    return _float_or_column(np.linalg.norm(np.asarray(m, dtype=complex), axis=(-2, -1)))
 
 
 def kron(a, b) -> np.ndarray:
@@ -167,10 +145,26 @@ def partial_trace(m, shape: BipartiteShape, keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def hermiticity_residual(m) -> float:
-    """max_ij |m - m†| (elementwise)."""
-    a = _square(m)
-    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+def _float_or_column(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
+
+
+def hermiticity_residual(m):
+    """max_ij |m - m†| (elementwise): a float for one matrix, an array for a stack."""
+    a = _square_stack(m)
+    return _float_or_column(np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0))
+
+
+def state_diagnostics(m):
+    """(|Tr m - 1|, hermiticity_residual(m), smallest eigenvalue of (m + m†)/2) of a
+    candidate state: floats for one matrix, arrays for a stack. The eigenvalue is NaN
+    where a matrix has non-finite entries."""
+    a = _square_stack(m, "state")
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    min_eig = np.full(finite.shape, np.nan)
+    min_eig[finite] = np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2))[finite]).min(axis=-1)
+    trace_drift = np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0)
+    return _float_or_column(trace_drift), hermiticity_residual(a), _float_or_column(min_eig)
 
 
 def require_hermitian(m, tol: float, name: str = "matrix") -> np.ndarray:
@@ -191,12 +185,6 @@ def hermitian_eig(m, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     a = require_hermitian(m, tol)
     vals, vecs = np.linalg.eigh(a)
     return vals, vecs.astype(complex)
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian matrix with independent Gaussian entries, scale O(1)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2.0
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -114,8 +114,7 @@ def build_example(params: ExampleParams) -> tuple[BipartiteSystem, np.ndarray]:
 
 def decay_rate(params: ExampleParams) -> float:
     """Correlation decay rate lambda: the sum of the four channel rates."""
-    system, _ = build_example(params)
-    return float(sum(ch.rate for ch in system.channels))
+    return float(sum(_rates(params).values()))
 
 
 def analytic_chi(params: ExampleParams, t: float) -> np.ndarray:

@@ -1,16 +1,47 @@
-"""Shared builders for randomized test systems and a per-channel reference generator."""
+"""Shared builders for randomized test systems, a per-channel reference generator
+and oracles that only the tests use: trace, trace distance, commutator, the steady
+state and the detailed-balance residual of a channel list."""
 
 import numpy as np
 
 from corrflux.dynamics import Generator
-from corrflux.linalg import BipartiteShape, embed_A, embed_B, random_hermitian
+from corrflux.linalg import BipartiteShape, ShapeError, dagger, embed_A, embed_B, hermitian_eig
 from corrflux.model import (
     BipartiteSystem,
     JumpChannel,
     ThermalBathSpec,
+    ValidationError,
     build_thermal_channels,
     total_hamiltonian,
 )
+
+KERNEL_GAP_TOL = 1e-8
+
+
+class NonUniqueSteadyStateError(RuntimeError):
+    """The generator kernel is not one dimensional."""
+
+
+def trace(m) -> complex:
+    return complex(np.trace(m))
+
+
+def trace_distance(a, b) -> float:
+    """(1/2) * sum of absolute eigenvalues of (a - b), for Hermitian a, b."""
+    d = np.asarray(a, dtype=complex) - b
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (d + dagger(d)))).sum())
+
+
+def commutator(a, b) -> np.ndarray:
+    if np.shape(a) != np.shape(b):
+        raise ShapeError(f"commutator needs equal shapes, got {np.shape(a)} and {np.shape(b)}")
+    return a @ b - b @ a
+
+
+def random_hermitian(dim, rng):
+    """Hermitian matrix with independent Gaussian entries, scale O(1)."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (g + g.conj().T) / 2.0
 
 
 def nondegenerate_hermitian(rng, dim, gap=1e-3):
@@ -81,6 +112,47 @@ def reference_matrix(system):
         LdL = L.conj().T @ L
         out = out + rate * (np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T)))
     return out
+
+
+def steady_state(system):
+    """The stationary state: the null vector of reference_matrix, hermitized and normalized.
+
+    Raises NonUniqueSteadyStateError unless the kernel is one dimensional with a traceful vector.
+    """
+    d = system.shape.dim
+    _, svals, vh = np.linalg.svd(reference_matrix(system))
+    candidate = vh[-1].conj().reshape(d, d)
+    tr = np.trace(candidate).real
+    if (len(svals) > 1 and svals[-2] < KERNEL_GAP_TOL) or abs(tr) < 1e-12:
+        raise NonUniqueSteadyStateError(f"smallest singular values {svals[-2:]}, null vector trace {tr:.3e}")
+    return 0.5 * (candidate + candidate.conj().T) / tr
+
+
+def detailed_balance_residual(channels, H_local, beta, bath_tag, shape):
+    """max |gamma_mn - gamma_nm exp(-beta (E_m - E_n))| over a channel list, each a unit jump
+    |m><n| between eigenvectors of H_local on side bath_tag with its reverse partner."""
+    d_local = shape.d_A if bath_tag == "A" else shape.d_B
+    energies, vecs = hermitian_eig(H_local)
+    rates = {}
+    for ch in channels:
+        if ch.bath_tag != bath_tag or ch.operator.shape[0] != d_local:
+            raise ValidationError(f"channel {ch.label!r} is not a side {bath_tag} operator of dim {d_local}")
+        flat = np.abs(dagger(vecs) @ ch.operator @ vecs)
+        m, n = np.unravel_index(int(flat.argmax()), flat.shape)
+        if abs(flat[m, n] - 1.0) > 1e-12 or (flat > 1e-12).sum() > 1:
+            raise ValidationError(f"channel {ch.label!r} is not a unit eigenlevel jump of the local Hamiltonian")
+        if m == n:
+            raise ValidationError(f"channel {ch.label!r} is diagonal, not a jump between levels")
+        if (m, n) in rates:
+            raise ValidationError(f"duplicate jump {n}->{m} in channel list")
+        rates[(m, n)] = ch.rate
+    worst = 0.0
+    for (m, n), gamma_mn in rates.items():
+        if (n, m) not in rates:
+            raise ValidationError(f"jump {n}->{m} has no reverse partner {m}->{n}")
+        expected = rates[(n, m)] * float(np.exp(-beta * (energies[m] - energies[n])))
+        worst = max(worst, abs(gamma_mn - expected))
+    return worst
 
 
 def random_system(rng, d_A=2, d_B=2, channels_per_side=2, alpha_A=None):

@@ -20,7 +20,6 @@ from corrflux.linalg import (
     frobenius_norm,
     partial_trace,
     random_density_matrix,
-    trace_distance,
 )
 from corrflux.model import gibbs_state
 from corrflux.twoqubit import (
@@ -32,7 +31,7 @@ from corrflux.twoqubit import (
     scenario_document,
 )
 
-from helpers import dissipative_part, random_dephasing_system, random_system, random_thermal_system
+from helpers import dissipative_part, random_dephasing_system, random_system, random_thermal_system, trace_distance
 
 STANDARD = ExampleParams(omega_A=1.0, omega_B=1.0, g=0.2, beta_A=0.5, beta_B=1.0, c=0.02)
 

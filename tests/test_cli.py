@@ -197,6 +197,18 @@ def test_run_divergence_exits_2_and_writes_rows(tmp_path):
     assert not np.isfinite(column(rows, "U")[-1])
 
 
+def test_run_json_of_a_diverged_run_writes_null_for_non_finite_values(tmp_path):
+    scenario, doc = write_scenario(tmp_path, t_final=0.02, dt=1e-3, record_every=10)
+    doc["baths"][0]["base_rates"][0]["rate"] = 1e308
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "diverged.json"
+    with pytest.warns(TrajectoryDiagnosticsWarning):
+        assert cli.main(["run", str(scenario), "--output", str(out), "--format", "json"]) == 2
+    rows = json.loads(out.read_text(encoding="utf-8"), parse_constant=lambda token: pytest.fail(f"JSON has {token}"))
+    assert [row["t"] for row in rows] == [0.0, pytest.approx(0.01, abs=1e-15)]
+    assert isinstance(rows[0]["U"], float) and rows[-1]["U"] is None
+
+
 def test_sweep_of_a_diverged_point_writes_nan_sign(tmp_path):
     scenario, _ = write_scenario(tmp_path, t_final=0.02, dt=1e-3, record_every=10)
     outdir = tmp_path / "sweep_rate"
@@ -408,19 +420,6 @@ def test_check_conditions_bad_tol_exits_1(tmp_path, capsys, tol):
     scenario, _ = write_scenario(tmp_path)
     assert cli.main(["check-conditions", str(scenario), "--samples", "1", "--tol", tol]) == 1
     assert "tol must be a finite nonnegative number" in capsys.readouterr().err
-
-
-def test_check_conditions_seed_env_override(tmp_path, capsys, monkeypatch):
-    scenario, _ = write_scenario(tmp_path)
-    monkeypatch.setenv("CORRFLUX_SEED", "9")
-    rc = cli.main(["check-conditions", str(scenario), "--samples", "3", "--seed", "3"])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["seed"] == 9
-
-    monkeypatch.setenv("CORRFLUX_SEED", "not-a-number")
-    rc = cli.main(["check-conditions", str(scenario), "--samples", "3"])
-    assert rc == 1
-    assert "CORRFLUX_SEED" in capsys.readouterr().err
 
 
 def test_example_subcommand_default_horizon(tmp_path):

@@ -1,15 +1,16 @@
 """Tests for the master-equation generator, RK4 stepping and steady states."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from corrflux.dynamics import (
     Generator,
-    NonUniqueSteadyStateError,
     Trajectory,
     TrajectoryDiagnosticsWarning,
+    _step_matrix_pays,
     integrate,
-    steady_state,
 )
 from corrflux.linalg import (
     SIGMA_Z,
@@ -17,8 +18,6 @@ from corrflux.linalg import (
     frobenius_norm,
     kron,
     random_density_matrix,
-    random_hermitian,
-    trace_distance,
 )
 from corrflux.model import (
     BipartiteSystem,
@@ -30,12 +29,16 @@ from corrflux.model import (
 from corrflux.twoqubit import ExampleParams, build_example
 
 from helpers import (
+    NonUniqueSteadyStateError,
     dissipative_part,
+    random_hermitian,
     random_system,
     random_thermal_system,
     reference_adjoint,
     reference_generator,
     reference_matrix,
+    steady_state,
+    trace_distance,
 )
 
 RAISE = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -173,8 +176,6 @@ def test_generator_matches_per_channel_reference(d_A, d_B):
     k4 = reference_generator(system, rho + dt * k3)
     assert_close(generator.step(rho, dt), rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
-    assert_close(generator.matrix(), reference_matrix(system))
-
 
 def test_generator_step_matches_taylor_polynomial():
     # The generator is linear, so one RK4 step equals the degree-4 Taylor
@@ -193,20 +194,6 @@ def test_generator_step_matches_taylor_polynomial():
     assert np.max(np.abs(stepped - expected)) <= 1e-14
 
 
-def test_superoperator_vec_convention():
-    # Row-major vectorization: unvec(S vec(rho)) must equal the generator.
-    rng = np.random.default_rng(38)
-    for d_A, d_B in ((2, 2), (2, 3)):
-        system = random_system(rng, d_A=d_A, d_B=d_B)
-        d = d_A * d_B
-        generator = Generator(system)
-        sup = generator.matrix()
-        rho = random_density_matrix(d, rng)
-        direct = generator(rho)
-        via_sup = (sup @ rho.reshape(-1)).reshape(d, d)
-        assert np.max(np.abs(direct - via_sup)) <= 1e-12
-
-
 def test_integrate_matches_spectral_propagator():
     # Independent oracle: evolve vec(rho) with the matrix exponential of the
     # superoperator, computed by eigendecomposition.
@@ -214,7 +201,7 @@ def test_integrate_matches_spectral_propagator():
     system = random_system(rng)
     rho0 = random_density_matrix(4, rng)
     t = 0.5
-    sup = Generator(system).matrix()
+    sup = reference_matrix(system)
     w, v = np.linalg.eig(sup)
     propagated = v @ np.diag(np.exp(w * t)) @ np.linalg.solve(v, rho0.reshape(-1))
     expected = propagated.reshape(4, 4)
@@ -225,12 +212,14 @@ def test_integrate_matches_spectral_propagator():
 @pytest.mark.parametrize(
     "t_final, n_full, remainder, record_every",
     [
-        # d^2 = 16 < 34 full steps: step matrix; a 4-step last interval and a short step
+        # step matrix: a 4-step last interval and a short step
         (0.345, 34, 0.005, 5),
-        # 16 >= 10 full steps: the step loop
+        # step matrix: a 1-step last interval and a short step
         (0.105, 10, 0.005, 3),
         # step matrix, every step recorded
         (0.3, 30, 0.0, 1),
+        # two full steps cost less than building the step matrix: the step loop
+        (0.025, 2, 0.005, 1),
     ],
 )
 def test_integrate_kernels_reproduce_the_step_loop(t_final, n_full, remainder, record_every):
@@ -458,3 +447,25 @@ def test_steady_state_is_annihilated():
         system, _ = random_thermal_system(rng, d_A=2, d_B=3)
         rho_ss = steady_state(system)
         assert frobenius_norm(Generator(system)(rho_ss)) <= 1e-9
+
+
+def test_kernel_choice_weighs_powers_records_and_size():
+    # d = 4 (the paper's runs): P beats the loop from a few steps on, at any record spacing.
+    assert not _step_matrix_pays(4, 1, 2) and _step_matrix_pays(4, 10, 2246) and _step_matrix_pays(4, 1, 2246)
+    # d = 36: P's powers and one d^4 product per record cost more than the steps.
+    assert not any(_step_matrix_pays(36, k, n) for k, n in ((25, 300), (25, 1300), (1, 10**6)))
+
+
+def test_d36_run_past_d_squared_steps_does_not_build_the_step_matrix():
+    # 1300 > d^2 = 1296 full steps; P alone would hold 1296^2 * 16 B = 25.6 MB.
+    rng = np.random.default_rng(50)
+    system = random_system(rng, d_A=6, d_B=6)
+    rho0 = random_density_matrix(36, rng)
+    tracemalloc.start()
+    try:
+        traj = integrate(system, rho0, 1.3, 1e-3, record_every=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.states) == 14
+    assert peak < 2.56e6

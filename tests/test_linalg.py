@@ -10,7 +10,6 @@ from corrflux.linalg import (
     BipartiteShape,
     HermiticityError,
     ShapeError,
-    commutator,
     dagger,
     embed_A,
     embed_B,
@@ -21,11 +20,11 @@ from corrflux.linalg import (
     kron,
     partial_trace,
     random_density_matrix,
-    random_hermitian,
     require_hermitian,
-    trace,
-    trace_distance,
+    state_diagnostics,
 )
+
+from helpers import commutator, random_hermitian, trace, trace_distance
 
 
 def test_pauli_constants():
@@ -94,6 +93,8 @@ def test_stacked_operations_equal_the_per_matrix_results():
         for keep in "AB":
             assert np.array_equal(partial_trace(joint, shape, keep)[i], partial_trace(joint[i], shape, keep))
         assert frobenius_norm(joint)[i] == frobenius_norm(joint[i])
+        assert hermiticity_residual(joint)[i] == hermiticity_residual(joint[i])
+        assert [x[i] for x in state_diagnostics(joint)] == list(state_diagnostics(joint[i]))
     with pytest.raises(ShapeError):
         kron(on_A[..., :1], on_B)
     with pytest.raises(ShapeError):

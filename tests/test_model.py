@@ -11,7 +11,6 @@ from corrflux.model import (
     ThermalBathSpec,
     ValidationError,
     build_thermal_channels,
-    detailed_balance_residual,
     gibbs_state,
     load_scenario,
     matrix_from_json,
@@ -21,7 +20,7 @@ from corrflux.model import (
     total_hamiltonian,
 )
 
-from helpers import nondegenerate_hermitian
+from helpers import detailed_balance_residual, nondegenerate_hermitian
 
 RAISE = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0| in the computational basis
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)

@@ -5,10 +5,9 @@ import pytest
 
 from corrflux.dynamics import integrate
 from corrflux.energetics import decompose, delta_U_chi, energy_ledger
-from corrflux.linalg import SIGMA_Z, frobenius_norm, kron, trace_distance
+from corrflux.linalg import SIGMA_Z, frobenius_norm, kron
 from corrflux.model import (
     ValidationError,
-    detailed_balance_residual,
     gibbs_state,
     parse_scenario,
 )
@@ -22,6 +21,8 @@ from corrflux.twoqubit import (
     sign_of_exchange,
     thermal_marginals,
 )
+
+from helpers import detailed_balance_residual, trace_distance
 
 STANDARD = ExampleParams(omega_A=1.0, omega_B=1.0, g=0.2, beta_A=0.5, beta_B=1.0, c=0.02)
 
