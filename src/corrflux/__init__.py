@@ -39,7 +39,6 @@ from .conditions import (
     TheoremReport,
     check_conditions,
     check_conditions_sampled,
-    valid_c_range,
     verify_theorem,
 )
 from .twoqubit import (
@@ -48,6 +47,7 @@ from .twoqubit import (
     analytic_delta_U_chi,
     build_example,
     sign_of_exchange,
+    valid_c_range,
 )
 
 __version__ = "0.1.0"

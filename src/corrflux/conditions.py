@@ -31,12 +31,12 @@ __all__ = [
     "check_conditions",
     "check_conditions_sampled",
     "verify_theorem",
-    "valid_c_range",
 ]
 
 DEFAULT_TOL = 1e-10
 ENERGY_DRIFT_TOL = 1e-7
 DEFAULT_SAMPLES = 50
+THEOREM_RECORD_EVERY = 10  # steps between the energy comparisons of verify_theorem
 
 
 def commutator_residual(system: model.BipartiteSystem, rho: np.ndarray):
@@ -172,40 +172,38 @@ def verify_theorem(
     states,
     dt: float,
     horizon: float,
-    condition_tol: float = DEFAULT_TOL,
-    drift_tol: float = ENERGY_DRIFT_TOL,
-    record_every: int = 10,
 ) -> TheoremReport:
     """Certify energy conservation by integrating the supplied states.
 
-    First checks both sufficient conditions at every state; any failure
-    yields a not-applicable report instead of an exception. Then each state
-    is propagated over the horizon and the total and product-part energies
-    are compared against their initial values at every record.
+    First checks both sufficient conditions at every state, at DEFAULT_TOL;
+    any failure yields a not-applicable report instead of an exception. Then
+    each state is propagated over the horizon and the total and product-part
+    energies are compared against their initial values every
+    THEOREM_RECORD_EVERY steps, with ENERGY_DRIFT_TOL as the bound.
     """
     states = [np.asarray(s, dtype=complex) for s in states]
     if not states:
         raise model.ValidationError("verify_theorem needs at least one state")
     for i, rho in enumerate(states):
-        report = check_conditions(system, rho, tol=condition_tol)
+        report = check_conditions(system, rho)
         if not report.passed:
             return TheoremReport(
                 applicable=False,
                 total_energy_drifts=(),
                 product_energy_drifts=(),
-                drift_tol=drift_tol,
-                condition_tol=condition_tol,
+                drift_tol=ENERGY_DRIFT_TOL,
+                condition_tol=DEFAULT_TOL,
                 detail=(
                     f"state {i}: commutator residual {report.commutator_residual:.3e}, "
                     f"adjoint residual {report.adjoint_residual:.3e} "
-                    f"(tol {condition_tol:.1e})"
+                    f"(tol {DEFAULT_TOL:.1e})"
                 ),
             )
 
     total_drifts = []
     product_drifts = []
     for rho in states:
-        traj = dynamics.integrate(system, rho, horizon, dt, record_every=record_every)
+        traj = dynamics.integrate(system, rho, horizon, dt, record_every=THEOREM_RECORD_EVERY)
         ledger = energetics.energy_ledger(system, traj.states)
         total_drifts.append(float(np.abs(ledger.U - ledger.U[0]).max()))
         product_drifts.append(float(np.abs(ledger.U_prod - ledger.U_prod[0]).max()))
@@ -214,29 +212,7 @@ def verify_theorem(
         applicable=True,
         total_energy_drifts=tuple(total_drifts),
         product_energy_drifts=tuple(product_drifts),
-        drift_tol=drift_tol,
-        condition_tol=condition_tol,
+        drift_tol=ENERGY_DRIFT_TOL,
+        condition_tol=DEFAULT_TOL,
     )
 
-
-def valid_c_range(
-    beta_A: float, omega_A: float, beta_B: float, omega_B: float
-) -> tuple[float, float]:
-    """Exact positivity window for thermal-product states with a zz tilt.
-
-    For pi(beta, omega) = diag(p0, p1) with p0 = exp(-beta omega)/Z,
-    p1 = exp(+beta omega)/Z, Z = 2 cosh(beta omega), the window is
-    model.zz_positivity_window of the two population vectors.
-    Note the bounds carry the 1/(Z_A Z_B) normalization of the populations.
-    """
-    for name, value in (("beta_A", beta_A), ("omega_A", omega_A), ("beta_B", beta_B), ("omega_B", omega_B)):
-        if not np.isfinite(value) or value < 0:
-            raise model.ValidationError(f"{name} must be nonnegative, got {value}")
-
-    def populations(x: float) -> tuple[float, float]:
-        z = 2.0 * np.cosh(x)
-        return float(np.exp(-x) / z), float(np.exp(x) / z)
-
-    return model.zz_positivity_window(
-        populations(beta_A * omega_A), populations(beta_B * omega_B)
-    )

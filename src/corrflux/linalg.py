@@ -65,6 +65,8 @@ def _frozen(m) -> np.ndarray:
     return a
 
 
+EIG_HERMITICITY_TOL = 1e-10  # the largest Hermiticity residual hermitian_eig accepts
+
 SIGMA_X = _frozen([[0, 1], [1, 0]])
 SIGMA_Y = _frozen([[0, -1j], [1j, 0]])
 SIGMA_Z = _frozen([[1, 0], [0, -1]])
@@ -175,14 +177,14 @@ def require_hermitian(m, tol: float, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def hermitian_eig(m, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues real and ascending
     and eigenvectors as columns, so m = V diag(w) V†. Raises HermiticityError
-    if the input fails the Hermiticity check at `tol`.
+    if the input fails the Hermiticity check at EIG_HERMITICITY_TOL.
     """
-    a = require_hermitian(m, tol)
+    a = require_hermitian(m, EIG_HERMITICITY_TOL)
     vals, vecs = np.linalg.eigh(a)
     return vals, vecs.astype(complex)
 

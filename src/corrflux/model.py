@@ -47,6 +47,7 @@ __all__ = [
     "gibbs_state",
     "require_density_matrix",
     "zz_positivity_window",
+    "thermal_plus_zz",
     "Scenario",
     "matrix_from_json",
     "matrix_to_json",
@@ -59,6 +60,9 @@ __all__ = [
 DEGENERACY_GAP = 1e-9
 
 HERMITICITY_TOL = 1e-12
+
+# require_density_matrix's bounds: Hermiticity residual, |Tr rho - 1|, least eigenvalue.
+STATE_HERMITICITY_TOL, STATE_TRACE_TOL, STATE_EIG_FLOOR = 1e-10, 1e-8, -1e-10
 
 
 class ValidationError(ValueError):
@@ -250,37 +254,45 @@ def gibbs_state(H: np.ndarray, beta: float) -> np.ndarray:
     return (vecs * weights) @ dagger(vecs)
 
 
-def require_density_matrix(
-    rho,
-    name: str = "state",
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-8,
-    eig_floor: float = -1e-10,
-) -> np.ndarray:
+def require_density_matrix(rho, name: str = "state") -> np.ndarray:
     """Validate finiteness, Hermiticity, unit trace and positivity of a state."""
     a = _finite_matrix(rho, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
     trace_drift, resid, min_eig = state_diagnostics(a)
-    if resid > herm_tol:
+    if resid > STATE_HERMITICITY_TOL:
         raise ValidationError(f"{name} is not Hermitian: residual {resid:.3e}")
-    if trace_drift > trace_tol:
-        raise ValidationError(f"{name} trace {np.trace(a):.12g} is not 1 within {trace_tol:.1e}")
-    if min_eig < eig_floor:
+    if trace_drift > STATE_TRACE_TOL:
+        raise ValidationError(f"{name} trace {np.trace(a):.12g} is not 1 within {STATE_TRACE_TOL:.1e}")
+    if min_eig < STATE_EIG_FLOOR:
         raise ValidationError(f"{name} has negative eigenvalue {min_eig:.3e}")
     return a
 
 
-def zz_positivity_window(p_A, p_B) -> tuple[float, float]:
-    """Range of c for which diag(p_A) (x) diag(p_B) + c sz (x) sz stays positive.
+def zz_positivity_window(pi_A, pi_B) -> tuple[float, float]:
+    """Range of c for which pi_A (x) pi_B + c sz (x) sz stays positive.
 
+    pi_A and pi_B are diagonal qubit states with populations p = diag(pi).
     The state's diagonal is (pA0 pB0 + c, pA0 pB1 - c, pA1 pB0 - c, pA1 pB1 + c),
     so positivity holds exactly on
     [-min(pA0 pB0, pA1 pB1), min(pA0 pB1, pA1 pB0)].
     """
+    p_A, p_B = np.diag(pi_A).real, np.diag(pi_B).real
     c_min = -min(p_A[0] * p_B[0], p_A[1] * p_B[1])
     c_max = min(p_A[0] * p_B[1], p_A[1] * p_B[0])
     return float(c_min), float(c_max)
+
+
+def thermal_plus_zz(H_A, H_B, beta_A: float, beta_B: float, c: float, name: str = "c") -> np.ndarray:
+    """pi_A (x) pi_B + c sz (x) sz, pi the Gibbs states of diagonal qubit Hamiltonians.
+
+    Raises ValidationError, calling c `name`, when c leaves zz_positivity_window.
+    """
+    pi_A, pi_B = gibbs_state(H_A, beta_A), gibbs_state(H_B, beta_B)
+    c_min, c_max = zz_positivity_window(pi_A, pi_B)
+    if not (c_min <= c <= c_max):
+        raise ValidationError(f"{name} = {c:.6g} is outside the positivity range [{c_min:.6g}, {c_max:.6g}]")
+    return kron(pi_A, pi_B) + c * kron(SIGMA_Z, SIGMA_Z)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +324,6 @@ class Scenario:
     t_final: float
     dt: float
     record_every: int
-    document: dict
 
 
 def matrix_from_json(value, dim: int, where: str) -> np.ndarray:
@@ -378,8 +389,10 @@ def _parse_interaction(raw, shape: BipartiteShape) -> np.ndarray:
     return matrix_from_json(raw, shape.dim, "V")
 
 
-def _parse_baths(doc: dict, H_A, H_B, shape: BipartiteShape) -> list[JumpChannel]:
+def _parse_baths(doc: dict, H_A, H_B, shape: BipartiteShape):
+    """The detailed-balance channels of every bath, and the betas of each side's baths."""
     channels: list[JumpChannel] = []
+    betas: dict[str, list[float]] = {"A": [], "B": []}
     raw_baths = doc.get("baths", [])
     if not isinstance(raw_baths, list):
         raise ValidationError("baths: expected a list")
@@ -409,7 +422,8 @@ def _parse_baths(doc: dict, H_A, H_B, shape: BipartiteShape) -> list[JumpChannel
         H_local = H_A if side == "A" else H_B
         spec = ThermalBathSpec(beta=beta, base_rates=base_rates)
         channels.extend(build_thermal_channels(H_local, spec, side, shape))
-    return channels
+        betas[side].append(beta)
+    return channels, betas
 
 
 def _parse_explicit_channels(doc: dict, shape: BipartiteShape) -> list[JumpChannel]:
@@ -434,16 +448,7 @@ def _parse_explicit_channels(doc: dict, shape: BipartiteShape) -> list[JumpChann
     return channels
 
 
-def _bath_beta_for_side(doc: dict, side: str) -> float:
-    betas = [b.get("beta") for b in doc.get("baths", []) if isinstance(b, dict) and b.get("side") == side]
-    if len(betas) != 1:
-        raise ValidationError(
-            f"initial_state preset needs exactly one bath on side {side} to fix its temperature"
-        )
-    return float(betas[0])
-
-
-def _parse_initial_state(doc: dict, H_A, H_B, shape: BipartiteShape) -> np.ndarray:
+def _parse_initial_state(doc: dict, H_A, H_B, shape: BipartiteShape, betas: dict) -> np.ndarray:
     raw = doc.get("initial_state")
     if raw is None:
         raise ValidationError("missing required field 'initial_state'")
@@ -458,15 +463,12 @@ def _parse_initial_state(doc: dict, H_A, H_B, shape: BipartiteShape) -> np.ndarr
             if off > 1e-12:
                 raise ValidationError(f"preset 'thermal_plus_zz' requires diagonal {name}")
         c = _require_number(raw, "c", "initial_state")
-        pi_A = gibbs_state(H_A, _bath_beta_for_side(doc, "A"))
-        pi_B = gibbs_state(H_B, _bath_beta_for_side(doc, "B"))
-        c_min, c_max = zz_positivity_window(np.diag(pi_A).real, np.diag(pi_B).real)
-        if not (c_min <= c <= c_max):
-            raise ValidationError(
-                f"initial_state.c = {c:.6g} is outside the positivity range "
-                f"[{c_min:.6g}, {c_max:.6g}]"
-            )
-        return kron(pi_A, pi_B) + c * kron(SIGMA_Z, SIGMA_Z)
+        for side in "AB":
+            if len(betas[side]) != 1:
+                raise ValidationError(
+                    f"initial_state preset needs exactly one bath on side {side} to fix its temperature"
+                )
+        return thermal_plus_zz(H_A, H_B, betas["A"][0], betas["B"][0], c, "initial_state.c")
     state = matrix_from_json(raw, shape.dim, "initial_state")
     return require_density_matrix(state, "initial_state")
 
@@ -497,12 +499,12 @@ def parse_scenario(document: dict) -> Scenario:
     V = _parse_interaction(document["V"], shape)
     alpha_A = _require_number(document, "alpha_A", "scenario", default=0.5)
 
-    channels = _parse_baths(document, H_A, H_B, shape)
+    channels, betas = _parse_baths(document, H_A, H_B, shape)
     channels.extend(_parse_explicit_channels(document, shape))
 
     system = BipartiteSystem(shape=shape, H_A=H_A, H_B=H_B, V=V, channels=tuple(channels), alpha_A=alpha_A)
 
-    initial_state = _parse_initial_state(document, H_A, H_B, shape)
+    initial_state = _parse_initial_state(document, H_A, H_B, shape, betas)
 
     raw_int = document.get("integration")
     if not isinstance(raw_int, dict):
@@ -523,7 +525,6 @@ def parse_scenario(document: dict) -> Scenario:
         t_final=t_final,
         dt=dt,
         record_every=record_every,
-        document=document,
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import conditions, model
+from . import model
 from .linalg import SIGMA_Z, BipartiteShape, kron
 from .model import BipartiteSystem, JumpChannel, ValidationError, gibbs_state, matrix_to_json
 
@@ -38,18 +38,26 @@ __all__ = [
     "analytic_delta_U_chi",
     "sign_of_exchange",
     "scenario_document",
+    "valid_c_range",
 ]
 
 _RAISE = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
 _LOWER = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 
 
+def _require_nonnegative(**values: float) -> None:
+    for name, value in values.items():
+        if not np.isfinite(value) or value < 0:
+            raise ValidationError(f"{name} must be nonnegative, got {value}")
+
+
 @dataclass(frozen=True)
 class ExampleParams:
     """Parameters of the two-qubit scenario.
 
-    Frequencies and inverse temperatures are nonnegative; c must keep the
-    initial state positive, i.e. lie inside valid_c_range.
+    Frequencies and inverse temperatures are nonnegative, the jump rates
+    exp(beta omega) and their sum are finite, and c must keep the initial
+    state positive, i.e. lie inside valid_c_range.
     """
 
     omega_A: float
@@ -60,28 +68,49 @@ class ExampleParams:
     c: float
 
     def __post_init__(self):
-        for name in ("omega_A", "omega_B", "beta_A", "beta_B"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
-                raise ValidationError(f"{name} must be nonnegative, got {value}")
+        _require_nonnegative(
+            omega_A=self.omega_A, omega_B=self.omega_B, beta_A=self.beta_A, beta_B=self.beta_B
+        )
         if not np.isfinite(self.g):
             raise ValidationError(f"g must be finite, got {self.g}")
-        c_min, c_max = conditions.valid_c_range(
-            self.beta_A, self.omega_A, self.beta_B, self.omega_B
-        )
-        if not (c_min <= self.c <= c_max):
+        if not np.isfinite(decay_rate(self)):
             raise ValidationError(
-                f"c = {self.c:.6g} leaves the positivity range [{c_min:.6g}, {c_max:.6g}]"
+                f"the jump rates exp(beta omega) overflow at beta_A*omega_A = "
+                f"{self.beta_A * self.omega_A:.6g}, beta_B*omega_B = {self.beta_B * self.omega_B:.6g}"
             )
+        _initial_state(self)
 
 
 def _rates(params: ExampleParams) -> dict[str, float]:
-    return {
-        "A:1<-0": float(np.exp(params.beta_A * params.omega_A)),
-        "A:0<-1": float(np.exp(-params.beta_A * params.omega_A)),
-        "B:1<-0": float(np.exp(params.beta_B * params.omega_B)),
-        "B:0<-1": float(np.exp(-params.beta_B * params.omega_B)),
-    }
+    """The four channel rates; past beta omega ~ 709.8 a rate is inf, which ExampleParams rejects."""
+    with np.errstate(over="ignore"):
+        return {
+            "A:1<-0": float(np.exp(params.beta_A * params.omega_A)),
+            "A:0<-1": float(np.exp(-params.beta_A * params.omega_A)),
+            "B:1<-0": float(np.exp(params.beta_B * params.omega_B)),
+            "B:0<-1": float(np.exp(-params.beta_B * params.omega_B)),
+        }
+
+
+def _initial_state(params: ExampleParams) -> np.ndarray:
+    return model.thermal_plus_zz(
+        params.omega_A * SIGMA_Z, params.omega_B * SIGMA_Z, params.beta_A, params.beta_B, params.c
+    )
+
+
+def valid_c_range(
+    beta_A: float, omega_A: float, beta_B: float, omega_B: float
+) -> tuple[float, float]:
+    """Exact positivity window of c for pi_A (x) pi_B + c sz (x) sz.
+
+    model.zz_positivity_window of the local Gibbs states gibbs_state(omega sz, beta):
+    the window that ExampleParams and the scenario preset 'thermal_plus_zz' enforce.
+    Its bounds carry the 1/(Z_A Z_B) normalization of the populations.
+    """
+    _require_nonnegative(beta_A=beta_A, omega_A=omega_A, beta_B=beta_B, omega_B=omega_B)
+    return model.zz_positivity_window(
+        gibbs_state(omega_A * SIGMA_Z, beta_A), gibbs_state(omega_B * SIGMA_Z, beta_B)
+    )
 
 
 def thermal_marginals(params: ExampleParams) -> tuple[np.ndarray, np.ndarray]:
@@ -107,9 +136,7 @@ def build_example(params: ExampleParams) -> tuple[BipartiteSystem, np.ndarray]:
         V=params.g * kron(SIGMA_Z, SIGMA_Z),
         channels=channels,
     )
-    pi_A, pi_B = thermal_marginals(params)
-    rho0 = kron(pi_A, pi_B) + params.c * kron(SIGMA_Z, SIGMA_Z)
-    return system, rho0
+    return system, _initial_state(params)
 
 
 def decay_rate(params: ExampleParams) -> float:
@@ -155,6 +182,7 @@ def scenario_document(
     """
     if params.omega_A <= 0 or params.omega_B <= 0:
         raise ValidationError("scenario_document needs strictly positive frequencies")
+    rates = _rates(params)
     return {
         "shape": {"dA": 2, "dB": 2},
         "H_A": matrix_to_json(params.omega_A * SIGMA_Z),
@@ -162,20 +190,8 @@ def scenario_document(
         "V": {"pattern": "zz", "g": params.g},
         "alpha_A": 0.5,
         "baths": [
-            {
-                "side": "A",
-                "beta": params.beta_A,
-                "base_rates": [
-                    {"from": 1, "to": 0, "rate": float(np.exp(params.beta_A * params.omega_A))}
-                ],
-            },
-            {
-                "side": "B",
-                "beta": params.beta_B,
-                "base_rates": [
-                    {"from": 1, "to": 0, "rate": float(np.exp(params.beta_B * params.omega_B))}
-                ],
-            },
+            {"side": side, "beta": beta, "base_rates": [{"from": 1, "to": 0, "rate": rates[f"{side}:1<-0"]}]}
+            for side, beta in (("A", params.beta_A), ("B", params.beta_B))
         ],
         "initial_state": {"preset": "thermal_plus_zz", "c": params.c},
         "integration": {"t_final": t_final, "dt": dt, "record_every": record_every},

@@ -251,6 +251,19 @@ def test_only_non_finite_records_silence_numpy_warnings():
     assert any("overflow" in str(w.message) for w in caught if w.category is RuntimeWarning)
 
 
+@pytest.mark.parametrize("c", ["0.02", "0"])
+def test_example_with_overflowing_rates_exits_1_without_warnings(tmp_path, capsys, c):
+    argv = ["example", "--beta-a", "1000", "--c", c, "--output", str(tmp_path / "o.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 1
+    assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "beta_A*omega_A = 1000" in lines[0]
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_sweep_over_c_signs(tmp_path):
     strong = ExampleParams(omega_A=1.0, omega_B=1.0, g=0.5, beta_A=0.5, beta_B=1.0, c=0.02)
     scenario, _ = write_scenario(tmp_path, params=strong)

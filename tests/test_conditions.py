@@ -8,7 +8,6 @@ from corrflux.conditions import (
     check_conditions,
     check_conditions_sampled,
     commutator_residual,
-    valid_c_range,
     verify_theorem,
 )
 from corrflux.dynamics import integrate
@@ -171,48 +170,3 @@ def test_verify_theorem_needs_states():
     system, _ = build_example(STANDARD)
     with pytest.raises(ValidationError):
         verify_theorem(system, [], dt=0.01, horizon=1.0)
-
-
-def test_valid_c_range_frozen_values():
-    c_min, c_max = valid_c_range(0.5, 1.0, 1.0, 1.0)
-    assert c_min == pytest.approx(-0.032058603280084995, abs=1e-15)
-    assert c_max == pytest.approx(0.08714431874203259, abs=1e-15)
-
-
-def test_valid_c_range_infinite_temperature():
-    c_min, c_max = valid_c_range(0.0, 1.0, 0.0, 1.0)
-    assert c_min == pytest.approx(-0.25, abs=1e-15)
-    assert c_max == pytest.approx(0.25, abs=1e-15)
-
-
-def test_valid_c_range_is_exact_positivity_boundary():
-    for beta_A, beta_B in ((0.5, 1.0), (0.2, 1.7), (0.0, 0.9)):
-        c_min, c_max = valid_c_range(beta_A, 1.0, beta_B, 1.0)
-        pi_A = gibbs_state(SIGMA_Z, beta_A)
-        pi_B = gibbs_state(SIGMA_Z, beta_B)
-
-        def min_eig(c):
-            rho = kron(pi_A, pi_B) + c * kron(SIGMA_Z, SIGMA_Z)
-            return float(np.linalg.eigvalsh(rho).min())
-
-        assert min_eig(c_max) >= -1e-12
-        assert min_eig(c_min) >= -1e-12
-        assert min_eig(c_max + 1e-6) < -1e-8
-        assert min_eig(c_min - 1e-6) < -1e-8
-
-
-def test_valid_c_range_property():
-    rng = np.random.default_rng(66)
-    for _ in range(50):
-        beta_A, beta_B = rng.uniform(0.0, 2.0, size=2)
-        omega_A, omega_B = rng.uniform(0.1, 2.0, size=2)
-        c_min, c_max = valid_c_range(float(beta_A), float(omega_A), float(beta_B), float(omega_B))
-        assert -0.25 - 1e-12 <= c_min < 0.0
-        assert 0.0 < c_max <= 0.25 + 1e-12
-
-
-def test_valid_c_range_validation():
-    with pytest.raises(ValidationError):
-        valid_c_range(-0.5, 1.0, 1.0, 1.0)
-    with pytest.raises(ValidationError):
-        valid_c_range(0.5, np.inf, 1.0, 1.0)

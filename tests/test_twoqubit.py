@@ -1,5 +1,7 @@
 """Tests for the closed-form two-qubit exchange scenario."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from corrflux.twoqubit import (
     scenario_document,
     sign_of_exchange,
     thermal_marginals,
+    valid_c_range,
 )
 
 from helpers import detailed_balance_residual, trace_distance
@@ -198,3 +201,81 @@ def test_build_example_works_at_zero_frequency():
     traj = integrate(system, rho0, 0.5, 1e-3, record_every=100)
     deltas = delta_U_chi(system, traj)
     assert abs(deltas[-1] - analytic_delta_U_chi(params, 0.5)) <= 1e-8
+
+
+def test_valid_c_range_frozen_values():
+    c_min, c_max = valid_c_range(0.5, 1.0, 1.0, 1.0)
+    assert c_min == pytest.approx(-0.032058603280084995, abs=1e-15)
+    assert c_max == pytest.approx(0.08714431874203259, abs=1e-15)
+
+
+def test_valid_c_range_infinite_temperature():
+    c_min, c_max = valid_c_range(0.0, 1.0, 0.0, 1.0)
+    assert c_min == pytest.approx(-0.25, abs=1e-15)
+    assert c_max == pytest.approx(0.25, abs=1e-15)
+
+
+def test_valid_c_range_is_exact_positivity_boundary():
+    for beta_A, beta_B in ((0.5, 1.0), (0.2, 1.7), (0.0, 0.9)):
+        c_min, c_max = valid_c_range(beta_A, 1.0, beta_B, 1.0)
+        pi_A = gibbs_state(SIGMA_Z, beta_A)
+        pi_B = gibbs_state(SIGMA_Z, beta_B)
+
+        def min_eig(c):
+            rho = kron(pi_A, pi_B) + c * kron(SIGMA_Z, SIGMA_Z)
+            return float(np.linalg.eigvalsh(rho).min())
+
+        assert min_eig(c_max) >= -1e-12
+        assert min_eig(c_min) >= -1e-12
+        assert min_eig(c_max + 1e-6) < -1e-8
+        assert min_eig(c_min - 1e-6) < -1e-8
+
+
+def test_valid_c_range_property():
+    rng = np.random.default_rng(66)
+    for _ in range(50):
+        beta_A, beta_B = rng.uniform(0.0, 2.0, size=2)
+        omega_A, omega_B = rng.uniform(0.1, 2.0, size=2)
+        c_min, c_max = valid_c_range(float(beta_A), float(omega_A), float(beta_B), float(omega_B))
+        assert -0.25 - 1e-12 <= c_min < 0.0
+        assert 0.0 < c_max <= 0.25 + 1e-12
+
+
+def test_valid_c_range_validation():
+    with pytest.raises(ValidationError):
+        valid_c_range(-0.5, 1.0, 1.0, 1.0)
+    with pytest.raises(ValidationError):
+        valid_c_range(0.5, np.inf, 1.0, 1.0)
+
+
+def test_example_params_and_the_preset_enforce_one_window():
+    # Both bounds of valid_c_range are accepted by ExampleParams and by the
+    # scenario preset, and one float step beyond either bound by neither.
+    rng = np.random.default_rng(67)
+    cases = [(1.0, 1.0, 0.5, 1.0)]
+    for _ in range(50):
+        omega_A, omega_B = rng.uniform(0.1, 2.0, size=2)
+        beta_A, beta_B = rng.uniform(0.0, 2.0, size=2)
+        cases.append((float(omega_A), float(omega_B), float(beta_A), float(beta_B)))
+    for omega_A, omega_B, beta_A, beta_B in cases:
+        def params(c):
+            return ExampleParams(omega_A=omega_A, omega_B=omega_B, g=0.2, beta_A=beta_A, beta_B=beta_B, c=c)
+
+        for bound, outward in zip(valid_c_range(beta_A, omega_A, beta_B, omega_B), (-np.inf, np.inf)):
+            doc = scenario_document(params(bound), t_final=0.1, dt=1e-2)
+            assert parse_scenario(doc).initial_state.shape == (4, 4)
+            beyond = float(np.nextafter(bound, outward))
+            with pytest.raises(ValidationError, match="positivity range"):
+                params(beyond)
+            doc["initial_state"]["c"] = beyond
+            with pytest.raises(ValidationError, match="positivity range"):
+                parse_scenario(doc)
+
+
+@pytest.mark.parametrize("beta_A, beta_B", [(1000.0, 1.0), (709.5, 709.5)])
+def test_params_reject_rates_that_overflow(beta_A, beta_B):
+    # exp(1000) is inf; exp(709.5) is finite, but two of them sum past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"overflow at beta_A\*omega_A = "):
+            ExampleParams(omega_A=1.0, omega_B=1.0, g=0.2, beta_A=beta_A, beta_B=beta_B, c=0.0)
