@@ -74,7 +74,10 @@ class Generator:
             self._K[tag] = embed((rates * (l.conj().swapaxes(-1, -2) @ l)).sum(axis=0), shape)
         self._K[None] = self._K["A"] + self._K["B"]
         self.H_eff = self.H - 0.5j * self._K[None]
-        self._H_eff_dag = self.H_eff.conj().T
+        # G(rho) = [S_A R + R S_B^T] + A rho + rho A†, with A = -i H_eff.
+        self._A = -1j * self.H_eff
+        self._A_dag = np.ascontiguousarray(self._A.conj().T)
+        self._S_B_T = np.ascontiguousarray(self._S["B"].T)
 
     def _regroup(self, m: np.ndarray, inverse: bool = False) -> np.ndarray:
         """(..., a b, a' b') to (..., a a', b b'), or back with inverse=True."""
@@ -85,9 +88,14 @@ class Generator:
         return m.reshape(*stack, *split).swapaxes(-3, -2).reshape(*stack, *merged)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
+        """G(rho) as a new array, built by in-place sums on the jump term."""
         R = self._regroup(rho)
-        jumps = self._regroup(self._S["A"] @ R + R @ self._S["B"].T, inverse=True)
-        return jumps - 1j * (self.H_eff @ rho - rho @ self._H_eff_dag)
+        jumps = self._S["A"] @ R
+        jumps += R @ self._S_B_T
+        out = self._regroup(jumps, inverse=True)
+        out += self._A @ rho
+        out += rho @ self._A_dag
+        return out
 
     def adjoint(self, observable: np.ndarray, side: str | None = None) -> np.ndarray:
         """Hilbert-Schmidt adjoint of the dissipative part applied to an observable.
@@ -107,12 +115,19 @@ class Generator:
         return self._regroup(jumps, inverse=True) - 0.5 * (O @ K + K @ O)
 
     def step(self, rho: np.ndarray, dt: float) -> np.ndarray:
-        """One classical RK4 step; dt may be negative."""
-        k1 = self(rho)
-        k2 = self(rho + (0.5 * dt) * k1)
-        k3 = self(rho + (0.5 * dt) * k2)
-        k4 = self(rho + dt * k3)
-        return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        """One classical RK4 step as a new array; dt may be negative.
+
+        G is linear and time-independent, so the four-stage formula equals
+        the degree-4 Taylor polynomial of exp(dt G), evaluated here in nested
+        form: x <- rho + (dt/j) G(x) for j = 4, 3, 2, 1, starting at x = rho.
+        Each pass scales and adds in place on the fresh array G returns.
+        """
+        x = rho
+        for j in (4, 3, 2, 1):
+            x = self(x)
+            x *= dt / j
+            x += rho
+        return x
 
 
 @dataclass(eq=False)
@@ -150,12 +165,13 @@ class Trajectory:
         return self._outside(TRACE_BREACH_TOL, EIG_BREACH_TOL)
 
 
-# Work in complex multiply-adds, fitted to timings with one BLAS thread: an RK4
-# step is four generator calls of about 4 d^3 plus numpy call overhead worth
-# STEP_OVERHEAD; building P steps d^2 unit matrices in one memory-bound batch,
-# about 80 d^5 plus three steps' overhead; a product in matrix_power is d^6, and
-# applying a power is a memory-bound d^2 x d^2 matrix-vector product, about 4 d^4.
-STEP_OVERHEAD = 4.5e5
+# Work in complex multiply-adds, fitted to timings of both kernels with one BLAS
+# thread at d = 4 to 36: an RK4 step is four generator calls of about 4 d^3 plus
+# numpy call overhead worth STEP_OVERHEAD; building P steps d^2 unit matrices in
+# one memory-bound batch, about 125 d^5 plus three steps' overhead; a product in
+# matrix_power is d^6, and applying a power is a memory-bound d^2 x d^2
+# matrix-vector product, about 4 d^4.
+STEP_OVERHEAD = 8e5
 
 
 def _step_matrix_pays(d: int, record_every: int, n_full: int) -> bool:
@@ -164,7 +180,7 @@ def _step_matrix_pays(d: int, record_every: int, n_full: int) -> bool:
     intervals = {min(record_every, n_full), n_full % record_every} - {0}
     products = sum(k.bit_length() + bin(k).count("1") - 2 for k in intervals)
     records = -(-n_full // record_every)
-    cost = 80 * d**5 + 3 * STEP_OVERHEAD + products * d**6 + records * 4 * d**4
+    cost = 125 * d**5 + 3 * STEP_OVERHEAD + products * d**6 + records * 4 * d**4
     return cost < n_full * (16 * d**3 + STEP_OVERHEAD)
 
 

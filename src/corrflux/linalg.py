@@ -98,8 +98,21 @@ def dagger(m) -> np.ndarray:
 
 
 def frobenius_norm(m):
-    """sqrt(sum |m_ij|^2): a float for one matrix, an array for a stack."""
-    return _float_or_column(np.linalg.norm(np.asarray(m, dtype=complex), axis=(-2, -1)))
+    """sqrt(sum |m_ij|^2): a float for one matrix, an array for a stack.
+
+    The squares of entries beyond about 1e154 overflow. When they do, each
+    matrix is divided by the power of two just above its largest entry before
+    the squares are summed. That scaling is exact, so a norm whose squares
+    stay in the normal range reads the same either way.
+    """
+    a = np.asarray(m, dtype=complex)
+    try:
+        with np.errstate(over="raise"):
+            return _float_or_column(np.linalg.norm(a, axis=(-2, -1)))
+    except FloatingPointError:
+        largest = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1), initial=0.0)
+        scale = np.ldexp(1.0, np.frexp(largest)[1])
+        return _float_or_column(np.linalg.norm(a / scale[..., None, None], axis=(-2, -1)) * scale)
 
 
 def kron(a, b) -> np.ndarray:
@@ -160,12 +173,16 @@ def hermiticity_residual(m):
 def state_diagnostics(m):
     """(|Tr m - 1|, hermiticity_residual(m), smallest eigenvalue of (m + m†)/2) of a
     candidate state: floats for one matrix, arrays for a stack. The eigenvalue is NaN
-    where a matrix has non-finite entries."""
+    where a matrix has non-finite entries; a trace beyond the float range gives an
+    infinite drift."""
     a = _square_stack(m, "state")
     finite = np.isfinite(a).all(axis=(-2, -1))
     min_eig = np.full(finite.shape, np.nan)
-    min_eig[finite] = np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2))[finite]).min(axis=-1)
-    trace_drift = np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0)
+    # h + h† with h = a / 2 cannot overflow; away from subnormals it equals (a + a†) / 2 bit for bit.
+    half = 0.5 * a
+    min_eig[finite] = np.linalg.eigvalsh((half + half.conj().swapaxes(-1, -2))[finite]).min(axis=-1)
+    with np.errstate(over="ignore"):
+        trace_drift = np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0)
     return _float_or_column(trace_drift), hermiticity_residual(a), _float_or_column(min_eig)
 
 

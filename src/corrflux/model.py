@@ -16,6 +16,8 @@ line front end.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -235,7 +237,16 @@ def build_thermal_channels(
                 )
         jump_fwd = np.outer(vecs[:, dst], vecs[:, src].conj())
         jump_rev = np.outer(vecs[:, src], vecs[:, dst].conj())
-        rate_rev = rate * float(np.exp(-bath.beta * (energies[src] - energies[dst])))
+        # beta (E_t - E_f) as Python floats: an overflow gives +-inf, not a numpy
+        # warning. At -inf (zero temperature) the reverse rate is 0.
+        beta_gap = bath.beta * float(energies[dst] - energies[src])
+        with np.errstate(over="ignore"):
+            rate_rev = rate * float(np.exp(beta_gap))
+        if not math.isfinite(rate_rev):
+            raise ValidationError(
+                f"side {bath_tag}: the reverse rate of the jump {src}->{dst} is not finite "
+                f"at beta*dE = {beta_gap:.6g}"
+            )
         channels.append(
             JumpChannel(jump_fwd, rate, bath_tag, f"{bath_tag}:{dst}<-{src}")
         )
@@ -249,7 +260,9 @@ def gibbs_state(H: np.ndarray, beta: float) -> np.ndarray:
     """exp(-beta H) / Tr[exp(-beta H)], computed in the eigenbasis of H."""
     vals, vecs = hermitian_eig(H)
     shift = vals.min() if beta >= 0 else vals.max()
-    weights = np.exp(-beta * (vals - shift))
+    # Every exponent is <= 0; one that overflows to -inf gives the weight 0.
+    with np.errstate(over="ignore"):
+        weights = np.exp(-beta * (vals - shift))
     weights /= weights.sum()
     return (vecs * weights) @ dagger(vecs)
 
@@ -263,7 +276,7 @@ def require_density_matrix(rho, name: str = "state") -> np.ndarray:
     if resid > STATE_HERMITICITY_TOL:
         raise ValidationError(f"{name} is not Hermitian: residual {resid:.3e}")
     if trace_drift > STATE_TRACE_TOL:
-        raise ValidationError(f"{name} trace {np.trace(a):.12g} is not 1 within {STATE_TRACE_TOL:.1e}")
+        raise ValidationError(f"{name} trace differs from 1 by {trace_drift:.3e} (> {STATE_TRACE_TOL:.1e})")
     if min_eig < STATE_EIG_FLOOR:
         raise ValidationError(f"{name} has negative eigenvalue {min_eig:.3e}")
     return a
@@ -326,28 +339,51 @@ class Scenario:
     record_every: int
 
 
-def matrix_from_json(value, dim: int, where: str) -> np.ndarray:
-    """Decode a row-major list of [re, im] pairs into a dim x dim matrix."""
-    if not isinstance(value, list):
-        raise ValidationError(f"{where}: expected a list of [re, im] pairs")
-    if len(value) != dim * dim:
-        raise ValidationError(f"{where}: expected {dim * dim} entries for a {dim}x{dim} matrix, got {len(value)}")
-    flat = np.empty(dim * dim, dtype=complex)
+def _is_number_type(t: type) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _bad_entry_message(value: list, where: str) -> str:
+    """The error for the first entry that is not a finite [re, im] pair of numbers."""
     for i, entry in enumerate(value):
         if (
             not isinstance(entry, (list, tuple))
             or len(entry) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+            or not all(_is_number_type(type(x)) for x in entry)
         ):
-            raise ValidationError(f"{where}[{i}]: expected an [re, im] pair of numbers")
+            return f"{where}[{i}]: expected an [re, im] pair of numbers"
         try:
             number = complex(entry[0], entry[1])
         except OverflowError:
             number = complex(math.inf)
-        if not (math.isfinite(number.real) and math.isfinite(number.imag)):
-            raise ValidationError(f"{where}[{i}]: expected a finite number, got {entry!r}")
-        flat[i] = number
-    return flat.reshape(dim, dim)
+        if not cmath.isfinite(number):
+            return f"{where}[{i}]: expected a finite number, got {entry!r}"
+    return f"{where}: expected a list of finite [re, im] pairs"
+
+
+def matrix_from_json(value, dim: int, where: str) -> np.ndarray:
+    """Decode a row-major list of [re, im] pairs into a dim x dim matrix.
+
+    The types are checked once per distinct type, the numbers converted in one
+    np.array call; only a rejected list is scanned entry by entry, to name the
+    first bad entry in the error.
+    """
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: expected a list of [re, im] pairs")
+    if len(value) != dim * dim:
+        raise ValidationError(f"{where}: expected {dim * dim} entries for a {dim}x{dim} matrix, got {len(value)}")
+    if (
+        all(issubclass(t, (list, tuple)) for t in set(map(type, value)))
+        and set(map(len, value)) == {2}
+        and all(map(_is_number_type, set(map(type, itertools.chain.from_iterable(value)))))
+    ):
+        try:
+            pairs = np.array(value, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            pairs = None
+        if pairs is not None and np.isfinite(pairs).all():
+            return pairs.view(complex).reshape(dim, dim)
+    raise ValidationError(_bad_entry_message(value, where))
 
 
 def matrix_to_json(m) -> list:

@@ -264,6 +264,19 @@ def test_example_with_overflowing_rates_exits_1_without_warnings(tmp_path, capsy
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_example_with_huge_finite_rates_writes_finite_residuals(tmp_path):
+    # exp(400) is a finite rate, but the squares inside ||D#[H]||_F overflow
+    # unless the norm scales its matrix first.
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["example", "--beta-a", "400", "--c", "0", "--output", str(out)]) == 0
+    assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+    header, rows = read_csv(out)
+    resid = np.array([row[header.split(",").index("cond_ii_resid")] for row in rows])
+    assert np.isfinite(resid).all() and resid.min() > 1e173
+
+
 def test_sweep_over_c_signs(tmp_path):
     strong = ExampleParams(omega_A=1.0, omega_B=1.0, g=0.5, beta_A=0.5, beta_B=1.0, c=0.02)
     scenario, _ = write_scenario(tmp_path, params=strong)

@@ -149,7 +149,7 @@ def test_cross_adjoint_vanishes():
         assert np.max(np.abs(generator.adjoint(obs_A, side="B"))) <= 1e-13
 
 
-@pytest.mark.parametrize("d_A, d_B", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("d_A, d_B", [(2, 3), (3, 2), (6, 6)])
 def test_generator_matches_per_channel_reference(d_A, d_B):
     # Unequal sides catch an A/B mix-up in the regrouping of the state.
     rng = np.random.default_rng(49)
@@ -192,6 +192,19 @@ def test_generator_step_matches_taylor_polynomial():
         expected = expected + term
     stepped = generator.step(rho, dt)
     assert np.max(np.abs(stepped - expected)) <= 1e-14
+
+
+def test_generator_step_leaves_its_input_and_returns_a_new_array():
+    # The nested RK4 form works in place on the arrays the generator returns.
+    rng = np.random.default_rng(51)
+    system = random_system(rng, d_A=2, d_B=3)
+    generator = Generator(system)
+    for rho in (random_density_matrix(6, rng), np.array([random_density_matrix(6, rng) for _ in range(3)])):
+        before = rho.copy()
+        stepped = generator.step(rho, 0.05)
+        assert np.array_equal(rho, before)
+        assert stepped.shape == rho.shape and not np.shares_memory(stepped, rho)
+        assert not np.array_equal(stepped, rho)
 
 
 def test_integrate_matches_spectral_propagator():

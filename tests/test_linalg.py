@@ -101,6 +101,19 @@ def test_stacked_operations_equal_the_per_matrix_results():
         partial_trace(joint[..., :5], shape, "A")
 
 
+def test_frobenius_norm_scales_huge_matrices_without_overflow():
+    # Squared entries beyond about 1e154 overflow; the norm scales them out exactly.
+    rng = np.random.default_rng(18)
+    X = random_hermitian(4, rng) + 1j * rng.normal(size=(4, 4))
+    stack = np.stack([random_hermitian(3, rng) for _ in range(4)])
+    assert frobenius_norm(2.0**600 * X) == 2.0**600 * frobenius_norm(X)
+    assert np.array_equal(frobenius_norm(2.0**600 * stack), 2.0**600 * frobenius_norm(stack))
+    # In the normal range the scaling changes no bit of numpy's norm.
+    assert frobenius_norm(X) == np.linalg.norm(X, axis=(-2, -1))
+    assert np.array_equal(frobenius_norm(stack), np.linalg.norm(stack, axis=(-2, -1)))
+    assert frobenius_norm(np.zeros((2, 2))) == 0.0
+
+
 def test_embed_operators_commute():
     rng = np.random.default_rng(12)
     shape = BipartiteShape(3, 2)

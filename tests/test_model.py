@@ -1,5 +1,9 @@
 """Tests for system descriptions, thermal channels and the scenario schema."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -182,6 +186,17 @@ def test_build_thermal_channels_rate_ratio_property():
             assert abs(gamma - expected) <= 1e-12 * max(1.0, gamma)
 
 
+def test_build_thermal_channels_at_a_huge_beta():
+    shape = BipartiteShape(2, 1)
+    # Stored downward jump: beta * dE overflows to -inf, and the reverse rate is 0.
+    channels = build_thermal_channels(SIGMA_Z, ThermalBathSpec(1e308, {(1, 0): 1.0}), "A", shape)
+    assert [ch.rate for ch in channels] == [1.0, 0.0]
+    # Stored upward jump: the reverse rate exp(beta * dE) is not finite.
+    for beta, shown in ((400.0, "800"), (1e308, "inf")):
+        with pytest.raises(ValidationError, match=rf"side A: .* beta\*dE = {shown}$"):
+            build_thermal_channels(SIGMA_Z, ThermalBathSpec(beta, {(0, 1): 1.0}), "A", shape)
+
+
 def test_build_thermal_channels_degenerate_spectrum():
     shape = BipartiteShape(2, 1)
     bath = ThermalBathSpec(beta=1.0, base_rates={(1, 0): 1.0})
@@ -300,6 +315,54 @@ def test_matrix_from_json_errors():
     for entry in ([float("nan"), 0.0], [0.0, float("inf")], [-float("inf"), 0.0], [10**400, 0.0]):
         with pytest.raises(ValidationError, match=r"m\[0\]: expected a finite number"):
             matrix_from_json([entry] + [[0.0, 0.0]] * 3, 2, "m")
+
+
+def _entrywise_matrix_from_json(value, dim):
+    """The decoder as one complex() per entry: the reference for the one-pass decode."""
+    flat = np.empty(dim * dim, dtype=complex)
+    for i, (re, im) in enumerate(value):
+        flat[i] = complex(re, im)
+    return flat.reshape(dim, dim)
+
+
+def _wide_scenario(seed):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module.wide_scenario(seed)
+
+
+def test_matrix_from_json_equals_the_entrywise_decoder_on_the_wide_scenario():
+    document = _wide_scenario(1)
+    for key in ("V", "initial_state"):
+        decoded = matrix_from_json(document[key], 36, key)
+        expected = _entrywise_matrix_from_json(document[key], 36)
+        assert np.array_equal(decoded.view(np.int64), expected.view(np.int64))
+    # ints, tuples, signed zeros and subnormals decode bit for bit as well
+    odd = [(1, -2), [0.0, -0.0], [-0.0, 5e-324], [2**64 + 1, -(10**300)]]
+    decoded = matrix_from_json(odd, 2, "m")
+    assert np.array_equal(decoded.view(np.int64), _entrywise_matrix_from_json(odd, 2).view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "bad, index, later, message",
+    [
+        (["1.5", 0.0], 5, [float("nan"), 0.0], r"m\[5\]: expected an \[re, im\] pair of numbers"),
+        ([0.0, True], 7, [float("inf"), 0.0], r"m\[7\]: expected an \[re, im\] pair of numbers"),
+        ([10**400, 0.0], 3, ["x", 0.0], r"m\[3\]: expected a finite number"),
+    ],
+)
+def test_matrix_from_json_names_the_first_bad_entry(bad, index, later, message):
+    value = [[0.5, -0.5]] * 9
+    value[index] = bad
+    with pytest.raises(ValidationError, match=message):
+        matrix_from_json(value, 3, "m")
+    # A fault of the other kind further on does not take its place.
+    value[8] = later
+    with pytest.raises(ValidationError, match=message):
+        matrix_from_json(value, 3, "m")
 
 
 def test_parse_scenario_round_trip():

@@ -3,7 +3,7 @@
 import copy
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrflux.linalg import ShapeError
@@ -77,6 +77,8 @@ def _mutated(mutations):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3))
+# beta * dE overflows; the derandomized draws never produce this document.
+@example([(("baths", 0, "beta"), 1e308)])
 def test_parse_scenario_lets_only_input_errors_escape(mutations):
     try:
         parse_scenario(_mutated(mutations))
