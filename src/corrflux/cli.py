@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -80,18 +82,36 @@ def write_records_csv(records, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# One record as json.dump(rows, indent=2) lays it out, with a %s for each value
+# (str of a Python float is its repr).
+_JSON_ROW = "  {\n" + ",\n".join(f"    {json.dumps(col)}: %s" for col in COLUMNS) + "\n  }"
+_RECORD_VALUES = operator.attrgetter(*COLUMNS)
+
+
+def _json_number(x) -> str:
+    x = float(x)
+    return repr(x) if math.isfinite(x) else "null"
+
+
 def write_records_json(records, path) -> None:
-    """One object per record; a non-finite value, which JSON cannot hold, is written as null."""
-    data = [{col: float(getattr(rec, col)) for col in COLUMNS} for rec in records]
+    """The file json.dump(rows, indent=2) writes for one object per record, plus a newline.
+
+    Floats are written by float.__repr__, as json writes them. A non-finite value,
+    which JSON cannot hold, is written as null.
+    """
+    rows = list(map(_RECORD_VALUES, records))
+    cells = itertools.chain.from_iterable(rows)
+    # A table of finite Python floats, the output of every run that did not
+    # diverge, formats each row in one step. Any other cell type, or a sum that
+    # is not finite (a non-finite cell, or finite cells whose sum overflows),
+    # sends the table through the per-cell path.
+    if set(map(type, cells)) <= {float} and math.isfinite(sum(map(sum, rows))):
+        body = [_JSON_ROW % row for row in rows]
+    else:
+        body = [_JSON_ROW % tuple(map(_json_number, row)) for row in rows]
+    text = "[\n" + ",\n".join(body) + "\n]\n" if body else "[]\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        try:
-            json.dump(data, fh, indent=2, allow_nan=False)
-        except ValueError:
-            # Only a diverged run gets here, so a finite table pays no per-cell check.
-            fh.seek(0)
-            fh.truncate()
-            json.dump([{col: (x if math.isfinite(x) else None) for col, x in row.items()} for row in data], fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _execute_run(scenario: model.Scenario, output, fmt: str) -> tuple[int, list[RunRecord]]:

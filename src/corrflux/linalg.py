@@ -97,22 +97,46 @@ def dagger(m) -> np.ndarray:
     return np.asarray(m, dtype=complex).conj().T
 
 
+# The square of this norm is the smallest normal float; below it, squares may have underflowed.
+_SMALLEST_SAFE_NORM = 2.0**-511
+
+
 def frobenius_norm(m):
     """sqrt(sum |m_ij|^2): a float for one matrix, an array for a stack.
 
-    The squares of entries beyond about 1e154 overflow. When they do, each
-    matrix is divided by the power of two just above its largest entry before
-    the squares are summed. That scaling is exact, so a norm whose squares
-    stay in the normal range reads the same either way.
+    The squares of entries beyond about 1e154 overflow, and those of entries
+    below about 1e-154 underflow. When squaring overflows, every matrix is
+    divided by a power of two near its largest entry before the squares are
+    summed; so is each nonzero matrix whose norm reads below
+    _SMALLEST_SAFE_NORM. That scaling is exact, so a norm whose squares stay
+    in the normal range reads the same either way.
     """
     a = np.asarray(m, dtype=complex)
     try:
         with np.errstate(over="raise"):
-            return _float_or_column(np.linalg.norm(a, axis=(-2, -1)))
+            norm = np.linalg.norm(a, axis=(-2, -1))
     except FloatingPointError:
-        largest = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1), initial=0.0)
-        scale = np.ldexp(1.0, np.frexp(largest)[1])
-        return _float_or_column(np.linalg.norm(a / scale[..., None, None], axis=(-2, -1)) * scale)
+        return _float_or_column(_scaled_norm(a))
+    small = norm < _SMALLEST_SAFE_NORM
+    # The squares behind a small norm may have underflowed; a zero matrix's norm is exact.
+    # One matrix is tested by truth value: .any() on a numpy bool alone costs microseconds.
+    if (small.any() if small.ndim else small) and a.any():
+        small &= a.any(axis=(-2, -1))
+        norm = np.array(norm)
+        norm[small] = _scaled_norm(a[small])
+    return _float_or_column(norm)
+
+
+def _scaled_norm(a: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix, summed after dividing it by 2^(e-1), where its largest
+    entry lies in [2^(e-1), 2^e). A norm beyond the float range reads inf."""
+    largest = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1), initial=0.0)
+    scale = np.ldexp(1.0, np.frexp(largest)[1] - 1)
+    # Real and imaginary parts are divided as floats: numpy divides a complex by a
+    # tiny scale through its reciprocal, which overflows.
+    parts = np.ascontiguousarray(a).view(float) / scale[..., None, None]
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(parts.view(complex), axis=(-2, -1)) * scale
 
 
 def kron(a, b) -> np.ndarray:
@@ -167,7 +191,10 @@ def _float_or_column(x: np.ndarray):
 def hermiticity_residual(m):
     """max_ij |m - m†| (elementwise): a float for one matrix, an array for a stack."""
     a = _square_stack(m)
-    return _float_or_column(np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0))
+    # An entry of a - a† beyond the float range is inf, and so is the residual: its true value is larger.
+    with np.errstate(over="ignore"):
+        diff = np.abs(a - a.conj().swapaxes(-1, -2))
+    return _float_or_column(diff.max(axis=(-2, -1), initial=0.0))
 
 
 def state_diagnostics(m):

@@ -1,9 +1,13 @@
 """Shared builders for randomized test systems, a per-channel reference generator
 and oracles that only the tests use: trace, trace distance, commutator, the steady
-state and the detailed-balance residual of a channel list."""
+state, the detailed-balance residual of a channel list and the JSON table writer."""
+
+import json
+import math
 
 import numpy as np
 
+from corrflux.cli import COLUMNS
 from corrflux.dynamics import Generator
 from corrflux.linalg import BipartiteShape, ShapeError, dagger, embed_A, embed_B, hermitian_eig
 from corrflux.model import (
@@ -218,3 +222,17 @@ def random_thermal_system(rng, d_A=2, d_B=2, beta_max=1.0):
     V = 0.5 * (V + V.conj().T)
     system = BipartiteSystem(shape=shape, H_A=H_A, H_B=H_B, V=V, channels=tuple(channels))
     return system, betas
+
+
+def reference_write_records_json(records, path):
+    """The JSON table through json.dump: one object per record, indent 2, a final
+    newline, and null for a non-finite value."""
+    data = [{col: float(getattr(rec, col)) for col in COLUMNS} for rec in records]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            json.dump(data, fh, indent=2, allow_nan=False)
+        except ValueError:
+            fh.seek(0)
+            fh.truncate()
+            json.dump([{col: (x if math.isfinite(x) else None) for col, x in row.items()} for row in data], fh, indent=2)
+        fh.write("\n")

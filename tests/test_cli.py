@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from corrflux import cli
 from corrflux.dynamics import Trajectory, TrajectoryDiagnosticsWarning, integrate
@@ -14,7 +16,7 @@ from corrflux.linalg import SIGMA_Z, random_density_matrix
 from corrflux.model import matrix_to_json, parse_scenario
 from corrflux.twoqubit import ExampleParams, decay_rate, scenario_document
 
-from helpers import random_system
+from helpers import random_system, reference_write_records_json
 
 EXPECTED_HEADER = (
     "t,U,U_A,U_B,U_prod,U_chi,dU_prod_dt,dU_chi_dt,dU_dt,"
@@ -207,6 +209,85 @@ def test_run_json_of_a_diverged_run_writes_null_for_non_finite_values(tmp_path):
     rows = json.loads(out.read_text(encoding="utf-8"), parse_constant=lambda token: pytest.fail(f"JSON has {token}"))
     assert [row["t"] for row in rows] == [0.0, pytest.approx(0.01, abs=1e-15)]
     assert isinstance(rows[0]["U"], float) and rows[-1]["U"] is None
+
+
+def assert_json_writers_agree(records, tmp_path):
+    """The row-template writer and json.dump write the same bytes; returns the text."""
+    ours, reference = tmp_path / "ours.json", tmp_path / "reference.json"
+    cli.write_records_json(records, ours)
+    reference_write_records_json(records, reference)
+    assert ours.read_bytes() == reference.read_bytes()
+    return ours.read_text(encoding="utf-8")
+
+
+def test_write_records_json_equals_json_dump_on_every_record_of_the_example(tmp_path):
+    doc = scenario_document(STANDARD, 12.0 / decay_rate(STANDARD), 1e-3, 1)
+    scenario = parse_scenario(doc)
+    traj = integrate(scenario.system, scenario.initial_state, scenario.t_final, scenario.dt, record_every=1)
+    records = cli.compute_records(scenario.system, traj)
+    assert len(records) == 2248
+    text = assert_json_writers_agree(records, tmp_path)
+    out = tmp_path / "example.json"
+    assert cli.main(["example", "--record-every", "1", "--format", "json", "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == text
+
+
+def test_write_records_json_equals_json_dump_on_a_diverged_run(tmp_path):
+    doc = scenario_document(STANDARD, t_final=0.02, dt=1e-3, record_every=1)
+    doc["baths"][0]["base_rates"][0]["rate"] = 1e308
+    scenario = parse_scenario(doc)
+    with pytest.warns(TrajectoryDiagnosticsWarning):
+        traj = integrate(scenario.system, scenario.initial_state, scenario.t_final, scenario.dt, record_every=1)
+    records = cli.compute_records(scenario.system, traj)
+    text = assert_json_writers_agree(records, tmp_path)
+    assert '"U": null' in text and "NaN" not in text and "Infinity" not in text
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1]
+
+
+def edge_records(cast=float):
+    """One record holding each edge value once, then records cycling through all of them."""
+    width = len(cli.COLUMNS)
+    once = [EDGE_VALUES[i] if i < len(EDGE_VALUES) else 1.0 for i in range(width)]
+    cycled = [[EDGE_VALUES[(i + j) % len(EDGE_VALUES)] for j in range(width)] for i in range(len(EDGE_VALUES))]
+    return [cli.RunRecord(*map(cast, row)) for row in [once, *cycled]]
+
+
+def test_write_records_json_equals_json_dump_on_edge_values(tmp_path):
+    text = assert_json_writers_agree(edge_records(), tmp_path)
+    for value in EDGE_VALUES:
+        assert f": {value!r}" in text
+    assert str(json.loads(text)[0]["t"]) == "-0.0"
+
+
+def test_write_records_json_of_no_records(tmp_path):
+    assert assert_json_writers_agree([], tmp_path) == "[]\n"
+
+
+def test_write_records_json_writes_numpy_floats_as_plain_numbers(tmp_path):
+    # Under numpy 2, repr(np.float64(0.1)) is "np.float64(0.1)".
+    records = edge_records(np.float64)
+    text = assert_json_writers_agree(records, tmp_path)
+    assert "np." not in text
+    assert text == assert_json_writers_agree(edge_records(), tmp_path)
+
+
+@st.composite
+def record_tables(draw):
+    """Up to six records of one cell type, either all finite or with non-finite values allowed."""
+    finite = draw(st.booleans())
+    cast = draw(st.sampled_from([float, np.float64]))
+    cells = st.floats(allow_nan=not finite, allow_infinity=not finite).map(cast)
+    width = len(cli.COLUMNS)
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=6))
+    return [cli.RunRecord(*row) for row in rows]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(record_tables())
+def test_write_records_json_equals_json_dump_on_random_rows(tmp_path, records):
+    assert_json_writers_agree(records, tmp_path)
 
 
 def test_sweep_of_a_diverged_point_writes_nan_sign(tmp_path):

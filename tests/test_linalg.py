@@ -112,6 +112,32 @@ def test_frobenius_norm_scales_huge_matrices_without_overflow():
     assert frobenius_norm(X) == np.linalg.norm(X, axis=(-2, -1))
     assert np.array_equal(frobenius_norm(stack), np.linalg.norm(stack, axis=(-2, -1)))
     assert frobenius_norm(np.zeros((2, 2))) == 0.0
+    # Entries from 2^1023 up: the scale stays finite, and only a norm beyond the float range is inf.
+    assert frobenius_norm(np.diag([1e308, 1e308])) == 1.4142135623730951e308
+    assert frobenius_norm(np.array([[1.7976931348623157e308]])) == 1.7976931348623157e308
+    assert frobenius_norm(np.full((2, 2), 1e308)) == np.inf
+
+
+def test_frobenius_norm_scales_tiny_matrices_without_underflow():
+    # Squared entries below about 1e-154 underflow; a norm that small is taken again, scaled.
+    assert np.allclose(frobenius_norm(np.full((3, 2, 2), 1e-200)), 2e-200, rtol=1e-15, atol=0.0)
+    assert frobenius_norm(np.full((2, 2), 1e-200j)) == pytest.approx(2e-200, rel=1e-15)
+    assert frobenius_norm(np.full((2, 2), 5e-324)) == 2 * 5e-324
+    rng = np.random.default_rng(19)
+    X = random_hermitian(4, rng) + 1j * rng.normal(size=(4, 4))
+    assert frobenius_norm(2.0**-600 * X) == 2.0**-600 * frobenius_norm(X)
+    # Only the tiny matrix of a stack is rescaled; zero and normal ones keep numpy's norm.
+    stack = np.stack([np.zeros((4, 4)), 2.0**-600 * X, X])
+    assert np.array_equal(frobenius_norm(stack), [0.0, 2.0**-600 * frobenius_norm(X), np.linalg.norm(X)])
+    assert frobenius_norm(np.zeros((5, 3, 3))).tolist() == [0.0] * 5
+
+
+def test_hermiticity_residual_of_a_huge_anti_hermitian_pair_is_inf():
+    # m - m† overflows at (0, 1); the residual's true value, 2e308, is beyond the float range.
+    m = 0.25 * np.eye(4, dtype=complex)
+    m[0, 1], m[1, 0] = 1e308, -1e308
+    assert hermiticity_residual(m) == np.inf
+    assert hermiticity_residual(np.stack([m, np.eye(4)])).tolist() == [np.inf, 0.0]
 
 
 def test_embed_operators_commute():

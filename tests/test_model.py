@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,18 @@ def test_parse_scenario_explicit_initial_matrix():
     doc["initial_state"] = matrix_to_json(np.eye(4, dtype=complex))
     with pytest.raises(ValidationError, match="trace"):
         parse_scenario(doc)
+
+
+def test_parse_scenario_rejects_a_huge_anti_hermitian_initial_state_without_warnings():
+    # Finite entries whose Hermiticity residual, 2e308, overflows the float range.
+    rho = 0.25 * np.eye(4, dtype=complex)
+    rho[0, 1], rho[1, 0] = 1e308, -1e308
+    doc = example_document()
+    doc["initial_state"] = matrix_to_json(rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="not Hermitian: residual inf"):
+            parse_scenario(doc)
 
 
 def test_parse_scenario_explicit_channels():

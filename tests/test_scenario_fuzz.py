@@ -36,6 +36,8 @@ MATRICES = [
     "text",
     {},
 ]
+# 0.25 I plus 1e308 at (0, 1) and -1e308 at (1, 0): finite, but m - m† overflows.
+HUGE_ANTI_HERMITIAN_PAIR = matrix_to_json(0.25 * np.eye(4) + 1e308 * np.pad([[0, 1], [-1, 0]], (0, 2)))
 STRUCTURES = [None, [], {}, "text", 3]
 # A valid explicit channel, channels of the wrong size for their side, and a bad side.
 CHANNELS = [_channel("A", 2), _channel("B", 3), _channel("A", 4), _channel("C", 2)]
@@ -77,8 +79,10 @@ def _mutated(mutations):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3))
-# beta * dE overflows; the derandomized draws never produce this document.
+# beta * dE overflows, and an anti-Hermitian pair overflows the Hermiticity residual;
+# the derandomized draws never produce these documents.
 @example([(("baths", 0, "beta"), 1e308)])
+@example([(("initial_state",), HUGE_ANTI_HERMITIAN_PAIR)])
 def test_parse_scenario_lets_only_input_errors_escape(mutations):
     try:
         parse_scenario(_mutated(mutations))
