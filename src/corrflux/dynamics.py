@@ -34,9 +34,6 @@ __all__ = [
     "integrate",
 ]
 
-# Per-record sanity level: beyond this the trajectory is flagged.
-TRACE_FLAG_TOL = 1e-8
-EIG_FLAG_TOL = -1e-8
 # Hard diagnostic breach: the run is still returned but carries a warning
 # status, and the command line front end signals it through its exit code.
 TRACE_BREACH_TOL = 1e-6
@@ -148,21 +145,13 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def _outside(self, trace_tol: float, eig_tol: float) -> bool:
-        # Written as "not inside" so that a non-finite diagnostic counts as outside.
-        return not (
-            (self.trace_drift <= trace_tol).all() and (self.min_eigenvalue >= eig_tol).all()
-        )
-
-    @property
-    def flagged(self) -> bool:
-        """Any record outside the 1e-8 sanity band."""
-        return self._outside(TRACE_FLAG_TOL, EIG_FLAG_TOL)
-
     @property
     def breached(self) -> bool:
         """Any record outside the hard 1e-6 diagnostic band."""
-        return self._outside(TRACE_BREACH_TOL, EIG_BREACH_TOL)
+        # Written as "not inside" so that a non-finite diagnostic counts as outside.
+        return not (
+            (self.trace_drift <= TRACE_BREACH_TOL).all() and (self.min_eigenvalue >= EIG_BREACH_TOL).all()
+        )
 
 
 # Work in complex multiply-adds, fitted to timings of both kernels with one BLAS

@@ -44,14 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, model
-from .linalg import (
-    embed_A,
-    embed_B,
-    frobenius_norm,
-    identity,
-    kron,
-    partial_trace,
-)
+from .linalg import embed_A, embed_B, frobenius_norm, kron, partial_trace
 
 __all__ = [
     "NumericalConsistencyWarning",
@@ -115,15 +108,15 @@ def decompose(rho: np.ndarray, shape) -> Decomposition:
 
 @dataclass(frozen=True, eq=False)
 class EffectiveHamiltonians:
-    """State-dependent local Hamiltonians, residual interaction and drive.
+    """State-dependent local Hamiltonians and drive.
 
     drive = -i [Hhat_A (x) I + I (x) Hhat_B, V] is Hermitian; Tr[drive chi]
     is the coherent part of dU_prod/dt and ||drive||_F is condition (i).
+    The residual interaction of the module docstring is Vhat = H - Hhat_A (x) I - I (x) Hhat_B.
     """
 
     H_hat_A: np.ndarray
     H_hat_B: np.ndarray
-    V_hat: np.ndarray
     drive: np.ndarray
 
 
@@ -133,8 +126,7 @@ def effective_hamiltonians(
     """Mean-field-shifted local Hamiltonians at the given marginals.
 
     The scalar Tr[V rho_A (x) rho_B] is split alpha_A / alpha_B between the
-    sides; the sum Hhat_A (x) I + I (x) Hhat_B + Vhat is alpha-independent
-    and reconstructs the bare H exactly.
+    sides; the sum Hhat_A (x) I + I (x) Hhat_B is alpha-independent.
     """
     shape = system.shape
     rho_A, rho_B = decomposition.rho_A, decomposition.rho_B
@@ -143,17 +135,11 @@ def effective_hamiltonians(
     # Partial means of V against one marginal, still operators on the other side.
     V_on_A = partial_trace(V @ embed_B(rho_B, shape), shape, "A")
     V_on_B = partial_trace(V @ embed_A(rho_A, shape), shape, "B")
-    H_hat_A = system.H_A + V_on_A - system.alpha_A * V_mean * identity(shape.d_A)
-    H_hat_B = system.H_B + V_on_B - system.alpha_B * V_mean * identity(shape.d_B)
-    V_hat = (
-        V
-        - embed_B(V_on_B, shape)
-        - embed_A(V_on_A, shape)
-        + V_mean * identity(shape.dim)
-    )
+    H_hat_A = system.H_A + V_on_A - system.alpha_A * V_mean * np.eye(shape.d_A, dtype=complex)
+    H_hat_B = system.H_B + V_on_B - system.alpha_B * V_mean * np.eye(shape.d_B, dtype=complex)
     local_sum = embed_A(H_hat_A, shape) + embed_B(H_hat_B, shape)
     drive = -1j * (local_sum @ V - V @ local_sum)
-    return EffectiveHamiltonians(H_hat_A=H_hat_A, H_hat_B=H_hat_B, V_hat=V_hat, drive=drive)
+    return EffectiveHamiltonians(H_hat_A=H_hat_A, H_hat_B=H_hat_B, drive=drive)
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "ValidationError",
     "ShapeError",
     "HermiticityError",
     "BipartiteShape",
-    "SIGMA_X",
-    "SIGMA_Y",
     "SIGMA_Z",
-    "identity",
-    "dagger",
     "frobenius_norm",
     "kron",
     "embed_A",
@@ -37,11 +34,15 @@ __all__ = [
 ]
 
 
-class ShapeError(ValueError):
+class ValidationError(ValueError):
+    """Input data violates a structural or physical requirement: the one base class of rejected input."""
+
+
+class ShapeError(ValidationError):
     """Matrix dimensions do not match what the operation requires."""
 
 
-class HermiticityError(ValueError):
+class HermiticityError(ValidationError):
     """A matrix that must be Hermitian is not, within tolerance."""
 
 
@@ -59,17 +60,10 @@ def _square_stack(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _frozen(m) -> np.ndarray:
-    a = np.array(m, dtype=complex)
-    a.setflags(write=False)
-    return a
-
-
 EIG_HERMITICITY_TOL = 1e-10  # the largest Hermiticity residual hermitian_eig accepts
 
-SIGMA_X = _frozen([[0, 1], [1, 0]])
-SIGMA_Y = _frozen([[0, -1j], [1j, 0]])
-SIGMA_Z = _frozen([[1, 0], [0, -1]])
+SIGMA_Z = np.diag([1.0 + 0j, -1.0])
+SIGMA_Z.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -86,15 +80,6 @@ class BipartiteShape:
     @property
     def dim(self) -> int:
         return self.d_A * self.d_B
-
-
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
-def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
 
 
 # The square of this norm is the smallest normal float; below it, squares may have underflowed.
@@ -156,7 +141,7 @@ def embed_A(op, shape: BipartiteShape) -> np.ndarray:
     a = _square_stack(op, "op")
     if a.shape[-1] != shape.d_A:
         raise ShapeError(f"operator dim {a.shape[-1]} does not match d_A = {shape.d_A}")
-    return kron(a, identity(shape.d_B))
+    return kron(a, np.eye(shape.d_B, dtype=complex))
 
 
 def embed_B(op, shape: BipartiteShape) -> np.ndarray:
@@ -164,7 +149,7 @@ def embed_B(op, shape: BipartiteShape) -> np.ndarray:
     b = _square_stack(op, "op")
     if b.shape[-1] != shape.d_B:
         raise ShapeError(f"operator dim {b.shape[-1]} does not match d_B = {shape.d_B}")
-    return kron(identity(shape.d_A), b)
+    return kron(np.eye(shape.d_A, dtype=complex), b)
 
 
 def partial_trace(m, shape: BipartiteShape, keep: str) -> np.ndarray:
@@ -221,14 +206,14 @@ def require_hermitian(m, tol: float, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues real and ascending
-    and eigenvectors as columns, so m = V diag(w) V†. Raises HermiticityError
-    if the input fails the Hermiticity check at EIG_HERMITICITY_TOL.
+    and eigenvectors as columns, so m = V diag(w) V†. Raises HermiticityError,
+    calling the input `name`, if it fails the Hermiticity check at EIG_HERMITICITY_TOL.
     """
-    a = require_hermitian(m, EIG_HERMITICITY_TOL)
+    a = require_hermitian(m, EIG_HERMITICITY_TOL, name)
     vals, vecs = np.linalg.eigh(a)
     return vals, vecs.astype(complex)
 

@@ -26,10 +26,9 @@ import numpy as np
 
 from .linalg import (
     BipartiteShape,
-    HermiticityError,
     ShapeError,
     SIGMA_Z,
-    dagger,
+    ValidationError,
     embed_A,
     embed_B,
     hermitian_eig,
@@ -65,10 +64,6 @@ HERMITICITY_TOL = 1e-12
 
 # require_density_matrix's bounds: Hermiticity residual, |Tr rho - 1|, least eigenvalue.
 STATE_HERMITICITY_TOL, STATE_TRACE_TOL, STATE_EIG_FLOOR = 1e-10, 1e-8, -1e-10
-
-
-class ValidationError(ValueError):
-    """Input data violates a structural or physical requirement."""
 
 
 class DegenerateSpectrumError(ValidationError):
@@ -127,13 +122,10 @@ class BipartiteSystem:
     alpha_A: float = 0.5
 
     def __post_init__(self):
-        try:
-            H_A, H_B, V = (
-                require_hermitian(_finite_matrix(getattr(self, name), name), HERMITICITY_TOL, name)
-                for name in ("H_A", "H_B", "V")
-            )
-        except HermiticityError as exc:
-            raise ValidationError(str(exc)) from exc
+        H_A, H_B, V = (
+            require_hermitian(_finite_matrix(getattr(self, name), name), HERMITICITY_TOL, name)
+            for name in ("H_A", "H_B", "V")
+        )
         if H_A.shape[0] != self.shape.d_A:
             raise ShapeError(f"H_A dim {H_A.shape[0]} does not match d_A = {self.shape.d_A}")
         if H_B.shape[0] != self.shape.d_B:
@@ -214,10 +206,7 @@ def build_thermal_channels(
     if bath_tag not in ("A", "B"):
         raise ValidationError(f"bath_tag must be 'A' or 'B', got {bath_tag!r}")
     d_local = shape.d_A if bath_tag == "A" else shape.d_B
-    try:
-        energies, vecs = hermitian_eig(H_local)
-    except HermiticityError as exc:
-        raise ValidationError(f"local Hamiltonian for side {bath_tag}: {exc}") from exc
+    energies, vecs = hermitian_eig(H_local, f"local Hamiltonian for side {bath_tag}")
     if energies.shape[0] != d_local:
         raise ShapeError(
             f"local Hamiltonian dim {energies.shape[0]} does not match side {bath_tag} dim {d_local}"
@@ -264,7 +253,7 @@ def gibbs_state(H: np.ndarray, beta: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         weights = np.exp(-beta * (vals - shift))
     weights /= weights.sum()
-    return (vecs * weights) @ dagger(vecs)
+    return (vecs * weights) @ vecs.conj().T
 
 
 def require_density_matrix(rho, name: str = "state") -> np.ndarray:
@@ -521,12 +510,10 @@ def parse_scenario(document: dict) -> Scenario:
     if not isinstance(raw_shape, dict):
         raise ValidationError("shape: expected an object with dA and dB")
     for key in ("dA", "dB"):
-        if not isinstance(raw_shape.get(key), int) or isinstance(raw_shape.get(key), bool):
+        value = raw_shape.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ValidationError(f"shape.{key}: expected a positive integer")
-    try:
-        shape = BipartiteShape(raw_shape["dA"], raw_shape["dB"])
-    except ShapeError as exc:
-        raise ValidationError(f"shape: {exc}") from exc
+    shape = BipartiteShape(raw_shape["dA"], raw_shape["dB"])
 
     if "H_A" not in document or "H_B" not in document or "V" not in document:
         raise ValidationError("scenario: H_A, H_B and V are required")

@@ -32,7 +32,6 @@ from .model import BipartiteSystem, JumpChannel, ValidationError, gibbs_state, m
 __all__ = [
     "ExampleParams",
     "build_example",
-    "thermal_marginals",
     "decay_rate",
     "analytic_chi",
     "analytic_delta_U_chi",
@@ -111,13 +110,6 @@ def valid_c_range(
     return model.zz_positivity_window(
         gibbs_state(omega_A * SIGMA_Z, beta_A), gibbs_state(omega_B * SIGMA_Z, beta_B)
     )
-
-
-def thermal_marginals(params: ExampleParams) -> tuple[np.ndarray, np.ndarray]:
-    """Local Gibbs states (pi_A, pi_B) of the bare qubit Hamiltonians."""
-    pi_A = gibbs_state(params.omega_A * SIGMA_Z, params.beta_A)
-    pi_B = gibbs_state(params.omega_B * SIGMA_Z, params.beta_B)
-    return pi_A, pi_B
 
 
 def build_example(params: ExampleParams) -> tuple[BipartiteSystem, np.ndarray]:

@@ -1,6 +1,8 @@
 """Shared builders for randomized test systems, a per-channel reference generator
-and oracles that only the tests use: trace, trace distance, commutator, the steady
-state, the detailed-balance residual of a channel list and the JSON table writer."""
+and oracles that only the tests use: the Pauli matrices X and Y, trace, conjugate
+transpose, trace distance, commutator, the steady state, the detailed-balance residual
+of a channel list, the example's thermal marginals, the residual interaction Vhat, the
+1e-8 sanity band of a trajectory and the JSON table writer."""
 
 import json
 import math
@@ -9,17 +11,26 @@ import numpy as np
 
 from corrflux.cli import COLUMNS
 from corrflux.dynamics import Generator
-from corrflux.linalg import BipartiteShape, ShapeError, dagger, embed_A, embed_B, hermitian_eig
+from corrflux.linalg import SIGMA_Z, BipartiteShape, ShapeError, embed_A, embed_B, hermitian_eig, partial_trace
 from corrflux.model import (
     BipartiteSystem,
     JumpChannel,
     ThermalBathSpec,
     ValidationError,
     build_thermal_channels,
+    gibbs_state,
     total_hamiltonian,
 )
 
 KERNEL_GAP_TOL = 1e-8
+# The per-record sanity band, a hundred times tighter than the integrator's breach band.
+TRACE_FLAG_TOL = 1e-8
+EIG_FLAG_TOL = -1e-8
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+for _pauli in (SIGMA_X, SIGMA_Y):
+    _pauli.setflags(write=False)
 
 
 class NonUniqueSteadyStateError(RuntimeError):
@@ -28,6 +39,11 @@ class NonUniqueSteadyStateError(RuntimeError):
 
 def trace(m) -> complex:
     return complex(np.trace(m))
+
+
+def dagger(m) -> np.ndarray:
+    """Conjugate transpose."""
+    return np.asarray(m, dtype=complex).conj().T
 
 
 def trace_distance(a, b) -> float:
@@ -40,6 +56,32 @@ def commutator(a, b) -> np.ndarray:
     if np.shape(a) != np.shape(b):
         raise ShapeError(f"commutator needs equal shapes, got {np.shape(a)} and {np.shape(b)}")
     return a @ b - b @ a
+
+
+def flagged(trajectory) -> bool:
+    """Any record outside the 1e-8 sanity band; a non-finite diagnostic counts as outside."""
+    return not (
+        (trajectory.trace_drift <= TRACE_FLAG_TOL).all() and (trajectory.min_eigenvalue >= EIG_FLAG_TOL).all()
+    )
+
+
+def thermal_marginals(params):
+    """Local Gibbs states (pi_A, pi_B) of the example's bare qubit Hamiltonians."""
+    return gibbs_state(params.omega_A * SIGMA_Z, params.beta_A), gibbs_state(params.omega_B * SIGMA_Z, params.beta_B)
+
+
+def effective_interaction(system, decomposition):
+    """The residual interaction at the decomposition's marginals,
+
+    Vhat = V - I (x) Tr_A[V (rho_A (x) I)] - Tr_B[V (I (x) rho_B)] (x) I + Tr[V rho_A (x) rho_B] I,
+
+    so that H = Hhat_A (x) I + I (x) Hhat_B + Vhat.
+    """
+    shape, V = system.shape, system.V
+    V_on_A = partial_trace(V @ embed_B(decomposition.rho_B, shape), shape, "A")
+    V_on_B = partial_trace(V @ embed_A(decomposition.rho_A, shape), shape, "B")
+    V_mean = np.trace(V @ decomposition.product).real
+    return V - embed_B(V_on_B, shape) - embed_A(V_on_A, shape) + V_mean * np.eye(shape.dim)
 
 
 def random_hermitian(dim, rng):

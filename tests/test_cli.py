@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from corrflux import cli
 from corrflux.dynamics import Trajectory, TrajectoryDiagnosticsWarning, integrate
-from corrflux.linalg import SIGMA_Z, random_density_matrix
+from corrflux.energetics import NumericalConsistencyWarning
+from corrflux.linalg import SIGMA_Z, kron, random_density_matrix
 from corrflux.model import matrix_to_json, parse_scenario
 from corrflux.twoqubit import ExampleParams, decay_rate, scenario_document
 
@@ -304,7 +305,7 @@ def test_sweep_of_a_diverged_point_writes_nan_sign(tmp_path):
     assert summary[1:] == ["1e+308,nan,nan"]
 
 
-def test_only_non_finite_records_silence_numpy_warnings():
+def test_compute_records_reports_overflow_without_numpy_warnings():
     rng = np.random.default_rng(5)
     system = random_system(rng)
     rho = random_density_matrix(4, rng)
@@ -325,11 +326,13 @@ def test_only_non_finite_records_silence_numpy_warnings():
         warnings.simplefilter("error")
         records = cli.compute_records(system, trajectory(rho, diverged))
     assert np.isfinite(records[0].U) and not np.isfinite(records[1].dU_dt)
-    # A finite state whose ledger overflows still gets numpy's warning.
+    # A run of finite states whose ledger overflows gets one warning of its own, and none from numpy.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        cli.compute_records(system, trajectory(1e200 * rho))
-    assert any("overflow" in str(w.message) for w in caught if w.category is RuntimeWarning)
+        records = cli.compute_records(system, trajectory(rho, 1e200 * rho))
+    assert [w.category for w in caught] == [NumericalConsistencyWarning]
+    assert str(caught[0].message) == "ledger is not finite at 1 of 2 records, first at t = 1"
+    assert np.isfinite(records[0].U_chi) and not np.isfinite(records[1].U_chi)
 
 
 @pytest.mark.parametrize("c", ["0.02", "0"])
@@ -520,6 +523,25 @@ def test_check_conditions_report(tmp_path, capsys):
     assert report["seed"] == 3
     assert report["state_dependent"] is False
     assert report["adjoint_residual"] > 1.0
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("coupling", ["g", "matrix"])
+def test_check_conditions_fails_and_prints_null_for_an_overflowing_residual(tmp_path, capsys, coupling):
+    # V = 1e308 sz x sz overflows the drive of condition (i) and D#[H].
+    scenario, doc = write_scenario(tmp_path)
+    doc["V"] = {"pattern": "zz", "g": 1e308} if coupling == "g" else matrix_to_json(1e308 * kron(SIGMA_Z, SIGMA_Z))
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["check-conditions", str(scenario), "--samples", "3"]) == 0
+    assert [str(w.message) for w in caught] == []
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert report["commutator_residual"] is None and report["condition_i_pass"] is False
+    assert report["adjoint_residual"] is None and report["condition_ii_pass"] is False
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])

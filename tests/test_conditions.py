@@ -121,6 +121,16 @@ def test_check_conditions_sampled_reproducible():
         check_conditions_sampled(system, samples=0)
 
 
+def test_check_conditions_sampled_fails_condition_i_on_a_non_finite_residual():
+    # The drive of V = 1e308 sz x sz overflows at every sample; max(0.0, nan) would read 0.0.
+    system, _ = build_example(STANDARD)
+    huge = BipartiteSystem(shape=system.shape, H_A=system.H_A, H_B=system.H_B, V=1e308 * kron(SIGMA_Z, SIGMA_Z))
+    report = check_conditions_sampled(huge, samples=3)
+    assert np.isnan(report.commutator_residual)
+    assert not report.commutator_ok and not report.passed
+    assert report.to_json()["commutator_residual"] is None
+
+
 def test_verify_theorem_dephasing_passes():
     rng = np.random.default_rng(65)
     for _ in range(3):

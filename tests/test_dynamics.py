@@ -31,6 +31,7 @@ from corrflux.twoqubit import ExampleParams, build_example
 from helpers import (
     NonUniqueSteadyStateError,
     dissipative_part,
+    flagged,
     random_hermitian,
     random_system,
     random_thermal_system,
@@ -264,7 +265,7 @@ def test_integrate_zero_horizon():
     assert len(traj.states) == 1
     assert traj.times[0] == 0.0
     assert np.array_equal(traj.final_state, rho0)
-    assert not traj.flagged and not traj.breached
+    assert not flagged(traj) and not traj.breached
 
 
 def test_integrate_validation():
@@ -358,7 +359,7 @@ def test_trajectory_diagnostics_breach():
     with pytest.warns(TrajectoryDiagnosticsWarning):
         traj = integrate(system, plus, 6.0, 2.0)
     assert traj.breached
-    assert traj.flagged
+    assert flagged(traj)
     assert float(traj.min_eigenvalue.min()) < -1e-6
     # trace is conserved exactly by the generator, so only positivity trips
     assert float(traj.trace_drift.max()) <= 1e-12
@@ -374,7 +375,7 @@ def test_integrate_stops_at_first_non_finite_record():
     assert np.isfinite(traj.states[0]).all()
     assert not np.isfinite(traj.final_state).all()
     assert np.isnan(traj.min_eigenvalue[-1])
-    assert traj.breached and traj.flagged
+    assert traj.breached and flagged(traj)
 
 
 def test_non_finite_diagnostics_count_as_outside_the_band():
@@ -385,9 +386,9 @@ def test_non_finite_diagnostics_count_as_outside_the_band():
     )
     for drift, eig in (([0.0, np.nan], [0.1, 0.1]), ([0.0, 0.0], [0.1, np.nan]), ([0.0, np.inf], [0.1, 0.1])):
         traj = Trajectory(trace_drift=np.array(drift), min_eigenvalue=np.array(eig), **clean)
-        assert traj.breached and traj.flagged
+        assert traj.breached and flagged(traj)
     traj = Trajectory(trace_drift=np.zeros(2), min_eigenvalue=np.array([0.1, 0.1]), **clean)
-    assert not traj.breached and not traj.flagged
+    assert not traj.breached and not flagged(traj)
 
 
 def test_clean_run_not_flagged():
@@ -395,7 +396,7 @@ def test_clean_run_not_flagged():
     system, _ = random_thermal_system(rng)
     rho0 = random_density_matrix(4, rng)
     traj = integrate(system, rho0, 1.0, 0.01, record_every=10)
-    assert not traj.flagged
+    assert not flagged(traj)
     assert not traj.breached
     assert float(traj.hermiticity_residual.max()) <= 1e-12
 

@@ -18,7 +18,6 @@ from corrflux.energetics import (
     energy_operators,
 )
 from corrflux.linalg import (
-    SIGMA_X,
     SIGMA_Z,
     BipartiteShape,
     embed_A,
@@ -29,7 +28,7 @@ from corrflux.linalg import (
 )
 from corrflux.model import BipartiteSystem, gibbs_state, total_hamiltonian
 
-from helpers import random_system
+from helpers import SIGMA_X, effective_interaction, random_system
 
 STANDARD = dict(omega_A=1.0, omega_B=1.0, g=0.2, beta_A=0.5, beta_B=1.0, c=0.02)
 
@@ -105,7 +104,7 @@ def test_effective_hamiltonians_zero_interaction():
     eff = effective_hamiltonians(system, dec)
     assert np.max(np.abs(eff.H_hat_A - system.H_A)) <= 1e-14
     assert np.max(np.abs(eff.H_hat_B - system.H_B)) <= 1e-14
-    assert np.max(np.abs(eff.V_hat)) <= 1e-14
+    assert np.max(np.abs(effective_interaction(system, dec))) <= 1e-14
 
 
 def test_effective_hamiltonians_two_qubit_formula():
@@ -128,7 +127,7 @@ def test_effective_hamiltonians_two_qubit_formula():
         - m_B * kron(SIGMA_Z, np.eye(2))
         + m_A * m_B * np.eye(4)
     )
-    assert np.max(np.abs(eff.V_hat - expected_V)) <= 1e-13
+    assert np.max(np.abs(effective_interaction(system, dec) - expected_V)) <= 1e-13
 
 
 def test_effective_hamiltonians_reconstruct_h():
@@ -142,7 +141,7 @@ def test_effective_hamiltonians_reconstruct_h():
         rebuilt = (
             embed_A(eff.H_hat_A, system.shape)
             + embed_B(eff.H_hat_B, system.shape)
-            + eff.V_hat
+            + effective_interaction(system, dec)
         )
         assert np.max(np.abs(rebuilt - total_hamiltonian(system))) <= 1e-12
 
@@ -184,9 +183,9 @@ def test_vhat_expectation_identities():
         system = random_system(rng)
         rho = random_density_matrix(4, rng)
         dec = decompose(rho, system.shape)
-        eff = effective_hamiltonians(system, dec)
-        a = np.trace(rho @ eff.V_hat)
-        b = np.trace(dec.chi @ eff.V_hat)
+        V_hat = effective_interaction(system, dec)
+        a = np.trace(rho @ V_hat)
+        b = np.trace(dec.chi @ V_hat)
         c = np.trace(dec.chi @ system.V)
         assert abs(a - b) <= 1e-11
         assert abs(b - c) <= 1e-11

@@ -3,28 +3,28 @@
 import numpy as np
 import pytest
 
+import corrflux
+from corrflux import model
 from corrflux.linalg import (
-    SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     BipartiteShape,
     HermiticityError,
     ShapeError,
-    dagger,
+    ValidationError,
     embed_A,
     embed_B,
     frobenius_norm,
     hermitian_eig,
     hermiticity_residual,
-    identity,
     kron,
     partial_trace,
     random_density_matrix,
     require_hermitian,
     state_diagnostics,
 )
+from corrflux.model import DegenerateSpectrumError
 
-from helpers import commutator, random_hermitian, trace, trace_distance
+from helpers import SIGMA_X, SIGMA_Y, commutator, dagger, random_hermitian, trace, trace_distance
 
 
 def test_pauli_constants():
@@ -251,6 +251,9 @@ def test_random_density_matrix():
         assert float(np.min(np.linalg.eigvalsh(rho))) >= -1e-14
 
 
-def test_identity():
-    assert np.array_equal(identity(3), np.eye(3, dtype=complex))
-    assert identity(2).dtype == np.complex128
+def test_every_input_error_is_a_validation_error():
+    for error in (ShapeError, HermiticityError, DegenerateSpectrumError):
+        assert issubclass(error, ValidationError)
+    assert model.ValidationError is corrflux.ValidationError is ValidationError
+    with pytest.raises(ValidationError, match="is not Hermitian"):
+        require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-12)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrflux.linalg import SIGMA_X, SIGMA_Z, BipartiteShape, ShapeError, kron
+from corrflux.linalg import SIGMA_Z, BipartiteShape, ShapeError, kron
 from corrflux.model import (
     BipartiteSystem,
     DegenerateSpectrumError,
@@ -25,7 +25,7 @@ from corrflux.model import (
     total_hamiltonian,
 )
 
-from helpers import detailed_balance_residual, nondegenerate_hermitian
+from helpers import SIGMA_X, detailed_balance_residual, nondegenerate_hermitian
 
 RAISE = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0| in the computational basis
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -472,6 +472,11 @@ def test_parse_scenario_explicit_channels():
         ),
         (lambda d: d["baths"][1].update(beta=float("nan")), r"baths\[1\].beta: expected a finite number"),
         (lambda d: d.update(alpha_A=float("nan")), "scenario.alpha_A: expected a finite number"),
+        (lambda d: d["shape"].update(dB=0), "shape.dB: expected a positive integer"),
+        (
+            lambda d: d.update(H_A=matrix_to_json([[1.0, 0.0], [1.0, -1.0]])),
+            "local Hamiltonian for side A is not Hermitian",
+        ),
     ],
 )
 def test_parse_scenario_errors(mutate, match):

@@ -1,15 +1,23 @@
-"""Property test: a malformed scenario document fails only with the package's input errors."""
+"""Property tests: a malformed scenario document fails only with the package's input
+error, in the library and through every command of the command line."""
 
+import contextlib
 import copy
+import io
+import json
+import os
+import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corrflux.linalg import ShapeError
+from corrflux import cli
 from corrflux.model import ValidationError, matrix_to_json, parse_scenario
 from corrflux.twoqubit import ExampleParams, scenario_document
 
+# A short horizon: ten steps.
 EXAMPLE = scenario_document(
     ExampleParams(omega_A=1.0, omega_B=1.0, g=0.2, beta_A=0.5, beta_B=1.0, c=0.02),
     t_final=0.1,
@@ -86,5 +94,44 @@ def _mutated(mutations):
 def test_parse_scenario_lets_only_input_errors_escape(mutations):
     try:
         parse_scenario(_mutated(mutations))
-    except (ValidationError, ShapeError):
+    except ValidationError:
         pass
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def _commands(scenario, workdir):
+    """run, check-conditions and a two-point sweep of c, each with its own outputs."""
+    return [
+        ["run", scenario, "--output", os.path.join(workdir, "run.csv")],
+        ["check-conditions", scenario, "--samples", "3"],
+        ["sweep", scenario, "--param", "c", "--min", "0", "--max", "0.01", "--steps", "2",
+         "--output-dir", os.path.join(workdir, "sweep")],
+    ]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3))
+# Overflowing couplings: check-conditions passed condition (i) and printed NaN for
+# both, and at t_final = 0 run let numpy warn about the ledger of a finite state.
+@example([(("V", "g"), 1e308)])
+@example([(("V",), MATRICES[2])])
+@example([(("V", "g"), 1e308), (("integration", "t_final"), 0)])
+def test_cli_exits_with_a_status_and_no_numpy_warning(mutations):
+    """Each command returns 0, 1 or 2, lets no exception escape, raises no
+    RuntimeWarning, and prints only strict JSON."""
+    with tempfile.TemporaryDirectory() as workdir:
+        scenario = os.path.join(workdir, "scenario.json")
+        with open(scenario, "w", encoding="utf-8") as fh:
+            json.dump(_mutated(mutations), fh)
+        for argv in _commands(scenario, workdir):
+            stdout = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("ignore")
+                warnings.simplefilter("error", RuntimeWarning)
+                status = cli.main(argv)
+            assert status in (0, 1, 2), argv
+            if argv[0] == "check-conditions" and status == 0:
+                json.loads(stdout.getvalue(), parse_constant=_reject_constant)

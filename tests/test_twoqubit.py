@@ -21,11 +21,10 @@ from corrflux.twoqubit import (
     decay_rate,
     scenario_document,
     sign_of_exchange,
-    thermal_marginals,
     valid_c_range,
 )
 
-from helpers import detailed_balance_residual, trace_distance
+from helpers import detailed_balance_residual, flagged, thermal_marginals, trace_distance
 
 STANDARD = ExampleParams(omega_A=1.0, omega_B=1.0, g=0.2, beta_A=0.5, beta_B=1.0, c=0.02)
 
@@ -136,7 +135,7 @@ def test_numeric_run_matches_analytic_solution():
         chi_num = decompose(traj.states[i], system.shape).chi
         assert frobenius_norm(chi_num - analytic_chi(STANDARD, float(t))) <= 1e-8
         assert abs(deltas[i] - analytic_delta_U_chi(STANDARD, float(t))) <= 1e-8
-    assert not traj.flagged
+    assert not flagged(traj)
 
 
 def test_states_stay_diagonal_and_marginals_stationary():
