@@ -7,7 +7,8 @@ Subcommands:
   example           materialize and run the built-in two-qubit scenario
 
 Exit codes: 0 success; 1 input error; 2 the run finished but breached its
-trace/positivity diagnostics (output files are still written).
+trace/positivity diagnostics, or its table has a NaN or infinite cell (output
+files are still written).
 """
 
 from __future__ import annotations
@@ -47,12 +48,19 @@ RunRecord = make_dataclass(
 )
 
 
+class _Records(list):
+    """The records of one run, in order; finite is False when a cell is NaN or infinite."""
+
+    finite: bool
+
+
 def compute_records(system: model.BipartiteSystem, trajectory: dynamics.Trajectory) -> list[RunRecord]:
     """Evaluate the full ledger and both condition residuals at every record at once.
 
     Overflow leaves NaN or infinite cells, with no numpy warning. A non-finite
     state is the last record of a diverged run, which integrate has already
     reported; in a run without one, non-finite cells get one NumericalConsistencyWarning.
+    The returned list's finite attribute says whether every cell is finite.
     """
     states = np.asarray(trajectory.states, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -75,17 +83,23 @@ def compute_records(system: model.BipartiteSystem, trajectory: dynamics.Trajecto
             stacklevel=2,
         )
     rows = zip(*(column.tolist() for column in table))
-    return [RunRecord(*row) for row in rows]
+    records = _Records(itertools.starmap(RunRecord, rows))
+    records.finite = not broken.any()
+    return records
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+_RECORD_VALUES = operator.attrgetter(*COLUMNS)
+# One CSV row. "%.17g" takes any real cell (numpy floats, ints, bools) through float
+# and writes nan, inf and -inf as such, so no cell needs a path of its own.
+_CSV_ROW = ",".join(["%.17g"] * len(COLUMNS))
 
 
 def write_records_csv(records, path) -> None:
-    lines = [",".join(COLUMNS)]
-    for rec in records:
-        lines.append(",".join(_fmt(getattr(rec, col)) for col in COLUMNS))
+    """The header of COLUMNS, then one row per record, each cell to 17 significant digits.
+
+    Every double round-trips exactly. A non-finite value is written nan, inf or -inf.
+    """
+    lines = [",".join(COLUMNS), *(_CSV_ROW % row for row in map(_RECORD_VALUES, records))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -93,7 +107,6 @@ def write_records_csv(records, path) -> None:
 # One record as json.dump(rows, indent=2) lays it out, with a %s for each value
 # (str of a Python float is its repr).
 _JSON_ROW = "  {\n" + ",\n".join(f"    {json.dumps(col)}: %s" for col in COLUMNS) + "\n  }"
-_RECORD_VALUES = operator.attrgetter(*COLUMNS)
 
 
 def _json_number(x) -> str:
@@ -134,7 +147,7 @@ def _execute_run(scenario: model.Scenario, output, fmt: str) -> tuple[int, list[
     records = compute_records(scenario.system, trajectory)
     writer = write_records_csv if fmt == "csv" else write_records_json
     writer(records, output)
-    return (2 if trajectory.breached else 0), records
+    return (2 if trajectory.breached or not records.finite else 0), records
 
 
 def _cmd_run(args) -> int:
@@ -209,7 +222,7 @@ def _cmd_sweep(args) -> int:
         point_status, records = _execute_run(scenario, out_path, "csv")
         status = max(status, point_status)
         delta = records[-1].U_chi - records[0].U_chi
-        summary.append(f"{_fmt(value)},{_fmt(delta)},{_sign(delta)}")
+        summary.append("%.17g,%.17g,%s" % (value, delta, _sign(delta)))
     with open(os.path.join(args.output_dir, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(summary) + "\n")
     return status

@@ -126,19 +126,22 @@ def effective_hamiltonians(
     """Mean-field-shifted local Hamiltonians at the given marginals.
 
     The scalar Tr[V rho_A (x) rho_B] is split alpha_A / alpha_B between the
-    sides; the sum Hhat_A (x) I + I (x) Hhat_B is alpha-independent.
+    sides; the sum Hhat_A (x) I + I (x) Hhat_B is alpha-independent. Where V
+    is so large that a product overflows, the entries are NaN or infinite and
+    are returned as they are, with no numpy warning.
     """
     shape = system.shape
     rho_A, rho_B = decomposition.rho_A, decomposition.rho_B
     V = system.V
-    V_mean = np.asarray(_real_trace(V, decomposition.product, "Tr[V rho_A x rho_B]"))[..., None, None]
-    # Partial means of V against one marginal, still operators on the other side.
-    V_on_A = partial_trace(V @ embed_B(rho_B, shape), shape, "A")
-    V_on_B = partial_trace(V @ embed_A(rho_A, shape), shape, "B")
-    H_hat_A = system.H_A + V_on_A - system.alpha_A * V_mean * np.eye(shape.d_A, dtype=complex)
-    H_hat_B = system.H_B + V_on_B - system.alpha_B * V_mean * np.eye(shape.d_B, dtype=complex)
-    local_sum = embed_A(H_hat_A, shape) + embed_B(H_hat_B, shape)
-    drive = -1j * (local_sum @ V - V @ local_sum)
+    with np.errstate(over="ignore", invalid="ignore"):
+        V_mean = np.asarray(_real_trace(V, decomposition.product, "Tr[V rho_A x rho_B]"))[..., None, None]
+        # Partial means of V against one marginal, still operators on the other side.
+        V_on_A = partial_trace(V @ embed_B(rho_B, shape), shape, "A")
+        V_on_B = partial_trace(V @ embed_A(rho_A, shape), shape, "B")
+        H_hat_A = system.H_A + V_on_A - system.alpha_A * V_mean * np.eye(shape.d_A, dtype=complex)
+        H_hat_B = system.H_B + V_on_B - system.alpha_B * V_mean * np.eye(shape.d_B, dtype=complex)
+        local_sum = embed_A(H_hat_A, shape) + embed_B(H_hat_B, shape)
+        drive = -1j * (local_sum @ V - V @ local_sum)
     return EffectiveHamiltonians(H_hat_A=H_hat_A, H_hat_B=H_hat_B, drive=drive)
 
 
@@ -186,14 +189,14 @@ _ENERGY_OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def energy_operators(system: model.BipartiteSystem) -> tuple[np.ndarray, np.ndarray]:
     """H and D#[H] of a system, so that U = Tr[H rho] and dU/dt = Tr[D#[H] rho].
 
-    Computed once per system and returned read-only. Rates so large that
-    D#[H] overflows leave it non-finite rather than raising numpy warnings;
-    such a system's run diverges, and integrate reports that.
+    Computed once per system and returned read-only. Energies or rates so large
+    that H or D#[H] overflows leave it non-finite rather than raising numpy
+    warnings; such a system's run diverges, and integrate reports that.
     """
     pair = _ENERGY_OPERATORS.get(system)
     if pair is None:
-        generator = dynamics.Generator(system)
         with np.errstate(over="ignore", invalid="ignore"):
+            generator = dynamics.Generator(system)
             pair = (generator.H, generator.adjoint(generator.H))
         for array in pair:
             array.setflags(write=False)
@@ -202,26 +205,33 @@ def energy_operators(system: model.BipartiteSystem) -> tuple[np.ndarray, np.ndar
 
 
 def energy_ledger(system: model.BipartiteSystem, rho: np.ndarray) -> EnergyLedger:
-    """Evaluate every energy account and rate at the state rho, or at each state of a stack."""
-    rho = np.asarray(rho, dtype=complex)
-    dec = decompose(rho, system.shape)
-    eff = effective_hamiltonians(system, dec)
-    H, adj_H = energy_operators(system)
+    """Evaluate every energy account and rate at the state rho, or at each state of a stack.
 
-    dU_dt = _real_trace(adj_H, rho, "dU_dt")
-    dU_prod_dt = _real_trace(eff.drive, dec.chi, "coherent part of dU_prod_dt") + _real_trace(
-        adj_H, dec.product, "dissipative part of dU_prod_dt"
-    )
-    return EnergyLedger(
-        U=_real_trace(rho, H, "U"),
-        U_A=_real_trace(dec.rho_A, eff.H_hat_A, "U_A"),
-        U_B=_real_trace(dec.rho_B, eff.H_hat_B, "U_B"),
-        U_prod=_real_trace(dec.product, H, "U_prod"),
-        U_chi=_real_trace(dec.chi, system.V, "U_chi"),
-        dU_prod_dt=dU_prod_dt,
-        dU_chi_dt=dU_dt - dU_prod_dt,
-        dU_dt=dU_dt,
-    )
+    An account or rate that overflows (V or the rates near the float limit, say)
+    is returned as NaN or infinite, with no numpy warning; the ledger identities
+    are checked only where they are finite.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dec = decompose(rho, system.shape)
+        eff = effective_hamiltonians(system, dec)
+        H, adj_H = energy_operators(system)
+
+        dU_dt = _real_trace(adj_H, rho, "dU_dt")
+        dU_prod_dt = _real_trace(eff.drive, dec.chi, "coherent part of dU_prod_dt") + _real_trace(
+            adj_H, dec.product, "dissipative part of dU_prod_dt"
+        )
+        # EnergyLedger checks its identities inside the errstate as well.
+        return EnergyLedger(
+            U=_real_trace(rho, H, "U"),
+            U_A=_real_trace(dec.rho_A, eff.H_hat_A, "U_A"),
+            U_B=_real_trace(dec.rho_B, eff.H_hat_B, "U_B"),
+            U_prod=_real_trace(dec.product, H, "U_prod"),
+            U_chi=_real_trace(dec.chi, system.V, "U_chi"),
+            dU_prod_dt=dU_prod_dt,
+            dU_chi_dt=dU_dt - dU_prod_dt,
+            dU_dt=dU_dt,
+        )
 
 
 def delta_U_chi(system: model.BipartiteSystem, trajectory: dynamics.Trajectory) -> np.ndarray:

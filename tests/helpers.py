@@ -2,7 +2,7 @@
 and oracles that only the tests use: the Pauli matrices X and Y, trace, conjugate
 transpose, trace distance, commutator, the steady state, the detailed-balance residual
 of a channel list, the example's thermal marginals, the residual interaction Vhat, the
-1e-8 sanity band of a trajectory and the JSON table writer."""
+1e-8 sanity band of a trajectory and the CSV and JSON table writers."""
 
 import json
 import math
@@ -278,3 +278,13 @@ def reference_write_records_json(records, path):
             fh.truncate()
             json.dump([{col: (x if math.isfinite(x) else None) for col, x in row.items()} for row in data], fh, indent=2)
         fh.write("\n")
+
+
+def reference_write_records_csv(records, path):
+    """The CSV table cell by cell: the header of COLUMNS, then one line per record
+    with each value written by f"{float(x):.17g}"."""
+    lines = [",".join(COLUMNS)]
+    for rec in records:
+        lines.append(",".join(f"{float(getattr(rec, col)):.17g}" for col in COLUMNS))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

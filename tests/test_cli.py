@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -17,7 +18,7 @@ from corrflux.linalg import SIGMA_Z, kron, random_density_matrix
 from corrflux.model import matrix_to_json, parse_scenario
 from corrflux.twoqubit import ExampleParams, decay_rate, scenario_document
 
-from helpers import random_system, reference_write_records_json
+from helpers import random_system, reference_write_records_csv, reference_write_records_json
 
 EXPECTED_HEADER = (
     "t,U,U_A,U_B,U_prod,U_chi,dU_prod_dt,dU_chi_dt,dU_dt,"
@@ -221,11 +222,26 @@ def assert_json_writers_agree(records, tmp_path):
     return ours.read_text(encoding="utf-8")
 
 
-def test_write_records_json_equals_json_dump_on_every_record_of_the_example(tmp_path):
+def every_record_of_the_example():
+    """The 2248 records of corrflux example --record-every 1."""
     doc = scenario_document(STANDARD, 12.0 / decay_rate(STANDARD), 1e-3, 1)
     scenario = parse_scenario(doc)
     traj = integrate(scenario.system, scenario.initial_state, scenario.t_final, scenario.dt, record_every=1)
-    records = cli.compute_records(scenario.system, traj)
+    return cli.compute_records(scenario.system, traj)
+
+
+def diverged_records(rate=1e308):
+    """The records of the example with a huge bath rate, up to the first non-finite state."""
+    doc = scenario_document(STANDARD, t_final=0.02, dt=1e-3, record_every=1)
+    doc["baths"][0]["base_rates"][0]["rate"] = rate
+    scenario = parse_scenario(doc)
+    with pytest.warns(TrajectoryDiagnosticsWarning):
+        traj = integrate(scenario.system, scenario.initial_state, scenario.t_final, scenario.dt, record_every=1)
+    return cli.compute_records(scenario.system, traj)
+
+
+def test_write_records_json_equals_json_dump_on_every_record_of_the_example(tmp_path):
+    records = every_record_of_the_example()
     assert len(records) == 2248
     text = assert_json_writers_agree(records, tmp_path)
     out = tmp_path / "example.json"
@@ -234,13 +250,7 @@ def test_write_records_json_equals_json_dump_on_every_record_of_the_example(tmp_
 
 
 def test_write_records_json_equals_json_dump_on_a_diverged_run(tmp_path):
-    doc = scenario_document(STANDARD, t_final=0.02, dt=1e-3, record_every=1)
-    doc["baths"][0]["base_rates"][0]["rate"] = 1e308
-    scenario = parse_scenario(doc)
-    with pytest.warns(TrajectoryDiagnosticsWarning):
-        traj = integrate(scenario.system, scenario.initial_state, scenario.t_final, scenario.dt, record_every=1)
-    records = cli.compute_records(scenario.system, traj)
-    text = assert_json_writers_agree(records, tmp_path)
+    text = assert_json_writers_agree(diverged_records(), tmp_path)
     assert '"U": null' in text and "NaN" not in text and "Infinity" not in text
 
 
@@ -291,6 +301,54 @@ def test_write_records_json_equals_json_dump_on_random_rows(tmp_path, records):
     assert_json_writers_agree(records, tmp_path)
 
 
+def assert_csv_writers_agree(records, tmp_path):
+    """The row-template writer and the cell-by-cell writer write the same bytes; returns the text."""
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    cli.write_records_csv(records, ours)
+    reference_write_records_csv(records, reference)
+    assert ours.read_bytes() == reference.read_bytes()
+    return ours.read_text(encoding="utf-8")
+
+
+def test_write_records_csv_equals_the_cell_writer_on_every_record_of_the_example(tmp_path):
+    records = every_record_of_the_example()
+    text = assert_csv_writers_agree(records, tmp_path)
+    assert text.count("\n") == 1 + 2248
+    out = tmp_path / "example.csv"
+    assert cli.main(["example", "--record-every", "1", "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == text
+
+
+def test_write_records_csv_equals_the_cell_writer_on_a_diverged_run(tmp_path):
+    # At a rate of 1e50 the state overflows to a record with inf and -inf cells, then turns NaN.
+    rows = [line.split(",") for line in assert_csv_writers_agree(diverged_records(1e50), tmp_path).splitlines()[1:]]
+    assert len(rows) == 3 and math.isfinite(float(rows[0][1]))
+    assert {"inf", "-inf"} <= set(rows[1]) and rows[2][1:-1] == ["nan"] * 12
+
+
+def test_write_records_csv_equals_the_cell_writer_on_edge_values(tmp_path):
+    special = cli.RunRecord(*[math.nan, math.inf, -math.inf] * 4, 0.0, 1.0)
+    lines = assert_csv_writers_agree([*edge_records(), special], tmp_path).splitlines()
+    assert lines[1].startswith("-0,4.9406564584124654e-324,1.7976931348623157e+308,10000000000000000,0.10000000000000001,1,")
+    assert lines[-1] == "nan,inf,-inf," * 4 + "0,1"
+
+
+def test_write_records_csv_of_no_records(tmp_path):
+    assert assert_csv_writers_agree([], tmp_path) == EXPECTED_HEADER + "\n"
+
+
+def test_write_records_csv_writes_numpy_and_integer_cells_as_floats(tmp_path):
+    assert assert_csv_writers_agree(edge_records(np.float64), tmp_path) == assert_csv_writers_agree(edge_records(), tmp_path)
+    mixed = cli.RunRecord(np.float32(0.1), 3, True, False, *[np.float64(0.5)] * 10)
+    assert assert_csv_writers_agree([mixed], tmp_path).splitlines()[1].startswith("0.10000000149011612,3,1,0,0.5,")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(record_tables())
+def test_write_records_csv_equals_the_cell_writer_on_random_rows(tmp_path, records):
+    assert_csv_writers_agree(records, tmp_path)
+
+
 def test_sweep_of_a_diverged_point_writes_nan_sign(tmp_path):
     scenario, _ = write_scenario(tmp_path, t_final=0.02, dt=1e-3, record_every=10)
     outdir = tmp_path / "sweep_rate"
@@ -333,6 +391,33 @@ def test_compute_records_reports_overflow_without_numpy_warnings():
     assert [w.category for w in caught] == [NumericalConsistencyWarning]
     assert str(caught[0].message) == "ledger is not finite at 1 of 2 records, first at t = 1"
     assert np.isfinite(records[0].U_chi) and not np.isfinite(records[1].U_chi)
+
+
+@pytest.mark.parametrize("command", ["run", "run-json", "example", "sweep"])
+def test_a_table_with_non_finite_cells_of_finite_states_exits_2(tmp_path, command):
+    # V.g = 1e308 at t_final = 0: the one state is finite, its rates and residuals are NaN.
+    scenario, doc = write_scenario(tmp_path, t_final=0.0)
+    doc["V"]["g"] = 1e308
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    argv = {
+        "run": ["run", str(scenario), "--output", str(out)],
+        "run-json": ["run", str(scenario), "--output", str(tmp_path / "out.json"), "--format", "json"],
+        "example": ["example", "--g", "1e308", "--t-final", "0", "--output", str(out)],
+        "sweep": ["sweep", str(scenario), "--param", "g", "--min", "1e308", "--max", "1e308", "--steps", "1",
+                  "--output-dir", str(tmp_path / "sweep")],
+    }[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 2
+    assert [w.category for w in caught] == [NumericalConsistencyWarning]
+    if command in ("run", "example"):
+        _, rows = read_csv(out)
+        nan_columns = [name for name, x in zip(cli.COLUMNS, rows[0]) if math.isnan(x)]
+        assert nan_columns == ["dU_prod_dt", "dU_chi_dt", "dU_dt", "cond_i_resid", "cond_ii_resid"]
+    if command == "sweep":
+        summary = (tmp_path / "sweep" / "summary.csv").read_text(encoding="utf-8").splitlines()
+        assert summary[1:] == ["1e+308,0,0"]
 
 
 @pytest.mark.parametrize("c", ["0.02", "0"])

@@ -26,7 +26,8 @@ from corrflux.linalg import (
     partial_trace,
     random_density_matrix,
 )
-from corrflux.model import BipartiteSystem, gibbs_state, total_hamiltonian
+from corrflux.model import BipartiteSystem, gibbs_state, parse_scenario, total_hamiltonian
+from corrflux.twoqubit import ExampleParams, scenario_document
 
 from helpers import SIGMA_X, effective_interaction, random_system
 
@@ -305,6 +306,30 @@ def test_ledger_consistency_bound_scales_with_energy():
     exact = dict(U=1.0, U_A=0.25, U_B=0.25, U_prod=0.5, U_chi=0.5, dU_prod_dt=0.0, dU_chi_dt=0.0, dU_dt=0.0)
     with pytest.warns(NumericalConsistencyWarning, match="U = U_prod \\+ U_chi"):
         EnergyLedger(**{**exact, "U": 1.0 + 1e-6})
+
+
+def test_an_overflowing_ledger_is_returned_without_numpy_warnings():
+    # The example with V = 1e308 sz x sz overflows the drive and the rates; local
+    # Hamiltonians of 1e308 sz overflow H itself. The suite turns a RuntimeWarning
+    # into an error, and here every other warning as well.
+    doc = scenario_document(ExampleParams(**STANDARD), 1.0, 1e-3, 10)
+    doc["V"]["g"] = 1e308
+    scenario = parse_scenario(doc)
+    system, rho = scenario.system, scenario.initial_state
+    huge_H = BipartiteSystem(shape=system.shape, H_A=1e308 * SIGMA_Z, H_B=1e308 * SIGMA_Z, V=np.zeros((4, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ledger = energy_ledger(system, rho)
+        stacked = energy_ledger(system, np.stack([rho, rho]))
+        eff = effective_hamiltonians(system, decompose(rho, system.shape))
+        H, _ = energy_operators(huge_H)
+        huge = energy_ledger(huge_H, rho)
+    assert not np.isfinite(H).all()
+    assert np.isfinite([ledger.U, ledger.U_A, ledger.U_B, ledger.U_prod, ledger.U_chi]).all()
+    assert np.isnan([ledger.dU_prod_dt, ledger.dU_chi_dt, ledger.dU_dt]).all()
+    assert np.array_equal(stacked.dU_dt, [ledger.dU_dt] * 2, equal_nan=True)
+    assert not np.isfinite(eff.drive).all()
+    assert np.isfinite([huge.U_A, huge.U_B]).all() and np.isnan([huge.U, huge.U_prod]).all()
 
 
 def test_energy_operators_are_computed_once_and_read_only():
