@@ -15,52 +15,35 @@ from __future__ import annotations
 
 import argparse
 import copy
-import itertools
 import json
 import math
-import operator
 import os
 import re
 import sys
 import warnings
-from dataclasses import fields, make_dataclass
+from dataclasses import fields
 
 import numpy as np
 
 from . import conditions, dynamics, energetics, model, twoqubit
 from .linalg import frobenius_norm
 
-__all__ = ["main", "RunRecord", "COLUMNS"]
+__all__ = ["main", "COLUMNS"]
 
 _RUN_COLUMNS = ("chi_norm", "trace_drift", "min_eig", "cond_i_resid", "cond_ii_resid")
 COLUMNS = ("t", *(f.name for f in fields(energetics.EnergyLedger)), *_RUN_COLUMNS)
 
 SIGN_ZERO_TOL = 1e-12
 
-RunRecord = make_dataclass(
-    "RunRecord",
-    [(name, float) for name in COLUMNS],
-    frozen=True,
-    namespace={
-        "__module__": __name__,
-        "__doc__": "One output row: the time, every EnergyLedger entry, then the run diagnostics.",
-    },
-)
 
+def compute_records(system: model.BipartiteSystem, trajectory: dynamics.Trajectory) -> np.ndarray:
+    """The record table: one float64 row per record, column j holding COLUMNS[j].
 
-class _Records(list):
-    """The records of one run, in order; finite is False when a cell is NaN or infinite."""
-
-    finite: bool
-
-
-def compute_records(system: model.BipartiteSystem, trajectory: dynamics.Trajectory) -> list[RunRecord]:
-    """Evaluate the full ledger and both condition residuals at every record at once.
-
-    Overflow leaves NaN or infinite cells, with no numpy warning. A non-finite
-    state is the last record of a diverged run, which integrate has already
-    reported; in a run without one, non-finite cells get one NumericalConsistencyWarning.
-    The returned list's finite attribute says whether every cell is finite.
+    Evaluates the full ledger and both condition residuals at every record at
+    once. Overflow leaves NaN or infinite cells, with no numpy warning. A
+    non-finite state is the last record of a diverged run, which integrate has
+    already reported; in a run without one, non-finite cells get one
+    NumericalConsistencyWarning.
     """
     states = np.asarray(trajectory.states, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -73,8 +56,8 @@ def compute_records(system: model.BipartiteSystem, trajectory: dynamics.Trajecto
             "cond_i_resid": conditions.commutator_residual(system, states),
             "cond_ii_resid": np.full(len(states), conditions.adjoint_residual(system)),
         }
-    table = [np.asarray(columns[name], dtype=float) for name in COLUMNS]
-    broken = ~np.isfinite(table).all(axis=0)
+    table = np.stack([np.asarray(columns[name], dtype=float) for name in COLUMNS], axis=1)
+    broken = ~np.isfinite(table).all(axis=1)
     if broken.any() and np.isfinite(states).all():
         warnings.warn(
             f"ledger is not finite at {int(broken.sum())} of {len(states)} records, "
@@ -82,24 +65,19 @@ def compute_records(system: model.BipartiteSystem, trajectory: dynamics.Trajecto
             energetics.NumericalConsistencyWarning,
             stacklevel=2,
         )
-    rows = zip(*(column.tolist() for column in table))
-    records = _Records(itertools.starmap(RunRecord, rows))
-    records.finite = not broken.any()
-    return records
+    return table
 
 
-_RECORD_VALUES = operator.attrgetter(*COLUMNS)
-# One CSV row. "%.17g" takes any real cell (numpy floats, ints, bools) through float
-# and writes nan, inf and -inf as such, so no cell needs a path of its own.
+# One CSV row. "%.17g" writes nan, inf and -inf as such, so no cell needs a path of its own.
 _CSV_ROW = ",".join(["%.17g"] * len(COLUMNS))
 
 
-def write_records_csv(records, path) -> None:
+def write_records_csv(table: np.ndarray, path) -> None:
     """The header of COLUMNS, then one row per record, each cell to 17 significant digits.
 
     Every double round-trips exactly. A non-finite value is written nan, inf or -inf.
     """
-    lines = [",".join(COLUMNS), *(_CSV_ROW % row for row in map(_RECORD_VALUES, records))]
+    lines = [",".join(COLUMNS), *(_CSV_ROW % row for row in map(tuple, table.tolist()))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -109,24 +87,20 @@ def write_records_csv(records, path) -> None:
 _JSON_ROW = "  {\n" + ",\n".join(f"    {json.dumps(col)}: %s" for col in COLUMNS) + "\n  }"
 
 
-def _json_number(x) -> str:
-    x = float(x)
+def _json_number(x: float) -> str:
     return repr(x) if math.isfinite(x) else "null"
 
 
-def write_records_json(records, path) -> None:
+def write_records_json(table: np.ndarray, path) -> None:
     """The file json.dump(rows, indent=2) writes for one object per record, plus a newline.
 
     Floats are written by float.__repr__, as json writes them. A non-finite value,
     which JSON cannot hold, is written as null.
     """
-    rows = list(map(_RECORD_VALUES, records))
-    cells = itertools.chain.from_iterable(rows)
-    # A table of finite Python floats, the output of every run that did not
-    # diverge, formats each row in one step. Any other cell type, or a sum that
-    # is not finite (a non-finite cell, or finite cells whose sum overflows),
-    # sends the table through the per-cell path.
-    if set(map(type, cells)) <= {float} and math.isfinite(sum(map(sum, rows))):
+    rows = map(tuple, table.tolist())
+    # A finite table, the output of every run that did not diverge, formats
+    # each row in one step; any other goes through the per-cell path.
+    if np.isfinite(table).all():
         body = [_JSON_ROW % row for row in rows]
     else:
         body = [_JSON_ROW % tuple(map(_json_number, row)) for row in rows]
@@ -135,8 +109,8 @@ def write_records_json(records, path) -> None:
         fh.write(text)
 
 
-def _execute_run(scenario: model.Scenario, output, fmt: str) -> tuple[int, list[RunRecord]]:
-    """Integrate, write the table and return (exit status, records)."""
+def _execute_run(scenario: model.Scenario, output, fmt: str) -> tuple[int, np.ndarray]:
+    """Integrate, write the table and return (exit status, table)."""
     trajectory = dynamics.integrate(
         scenario.system,
         scenario.initial_state,
@@ -144,10 +118,10 @@ def _execute_run(scenario: model.Scenario, output, fmt: str) -> tuple[int, list[
         scenario.dt,
         record_every=scenario.record_every,
     )
-    records = compute_records(scenario.system, trajectory)
+    table = compute_records(scenario.system, trajectory)
     writer = write_records_csv if fmt == "csv" else write_records_json
-    writer(records, output)
-    return (2 if trajectory.breached or not records.finite else 0), records
+    writer(table, output)
+    return (2 if trajectory.breached or not np.isfinite(table).all() else 0), table
 
 
 def _cmd_run(args) -> int:
@@ -219,9 +193,10 @@ def _cmd_sweep(args) -> int:
         _set_scenario_param(document, args.param, float(value))
         scenario = model.parse_scenario(document)
         out_path = os.path.join(args.output_dir, f"sweep_{safe_param}_{index}.csv")
-        point_status, records = _execute_run(scenario, out_path, "csv")
+        point_status, table = _execute_run(scenario, out_path, "csv")
         status = max(status, point_status)
-        delta = records[-1].U_chi - records[0].U_chi
+        first, last = table[[0, -1], COLUMNS.index("U_chi")].tolist()
+        delta = last - first
         summary.append("%.17g,%.17g,%s" % (value, delta, _sign(delta)))
     with open(os.path.join(args.output_dir, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(summary) + "\n")

@@ -49,11 +49,12 @@ class Generator:
 
     A channel's local operator l acts on the joint space as L = l (x) I_B or
     I_A (x) l. Per side the generator keeps S = sum_k gamma_k l_k (x) conj(l_k)
-    (d_side^2 x d_side^2) and K = sum_k gamma_k L_k†L_k. Calling it applies
+    (d_side^2 x d_side^2), and over every channel K = sum_k gamma_k L_k†L_k.
+    Calling it applies
 
         G(rho) = -i (H_eff rho - rho H_eff†) + [S_A R + R S_B^T],
 
-    with H_eff = H - (i/2)(K_A + K_B), R the state regrouped from (a b, a' b')
+    with H_eff = H - (i/2) K, R the state regrouped from (a b, a' b')
     to (a a', b b') and [.] the regrouping back: four matrix products whatever
     the channel count, broadcast over stacks of states.
     """
@@ -62,15 +63,15 @@ class Generator:
         shape = system.shape
         self.dim, self._sides = shape.dim, (shape.d_A, shape.d_B)
         self.H = model.total_hamiltonian(system)
-        self._S, self._K = {}, {}
+        self._S, K = {}, []
         for tag, d_side, embed in (("A", shape.d_A, embed_A), ("B", shape.d_B, embed_B)):
             chs = [ch for ch in system.channels if ch.bath_tag == tag]
             rates = np.array([ch.rate for ch in chs]).reshape(-1, 1, 1)
             l = np.array([ch.operator for ch in chs], dtype=complex).reshape(-1, d_side, d_side)
             self._S[tag] = (rates * kron(l, l.conj())).sum(axis=0)
-            self._K[tag] = embed((rates * (l.conj().swapaxes(-1, -2) @ l)).sum(axis=0), shape)
-        self._K[None] = self._K["A"] + self._K["B"]
-        self.H_eff = self.H - 0.5j * self._K[None]
+            K.append(embed((rates * (l.conj().swapaxes(-1, -2) @ l)).sum(axis=0), shape))
+        self._K = K[0] + K[1]
+        self.H_eff = self.H - 0.5j * self._K
         # G(rho) = [S_A R + R S_B^T] + A rho + rho A†, with A = -i H_eff.
         self._A = -1j * self.H_eff
         self._A_dag = np.ascontiguousarray(self._A.conj().T)
@@ -94,22 +95,17 @@ class Generator:
         out += rho @ self._A_dag
         return out
 
-    def adjoint(self, observable: np.ndarray, side: str | None = None) -> np.ndarray:
+    def adjoint(self, observable: np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt adjoint of the dissipative part applied to an observable.
 
-        Returns sum_k gamma_k L_k† O L_k - (1/2){O, K} over the channels whose
-        bath_tag is side (all channels for side=None); the jump sum is
-        S_A† R + R conj(S_B). The Hamiltonian part is deliberately excluded;
-        it never moves Tr[O rho] for O = H.
+        Returns sum_k gamma_k L_k† O L_k - (1/2){O, K} over every channel; the
+        jump sum is S_A† R + R conj(S_B). The Hamiltonian part is deliberately
+        excluded; it never moves Tr[O rho] for O = H.
         """
-        if side not in (None, "A", "B"):
-            raise ValueError(f"side must be 'A', 'B' or None, got {side!r}")
         O = np.asarray(observable, dtype=complex)
         R = self._regroup(O)
-        per_side = {"A": self._S["A"].conj().T @ R, "B": R @ self._S["B"].conj()}
-        jumps = sum(per_side[tag] for tag in "AB" if side in (None, tag))
-        K = self._K[side]
-        return self._regroup(jumps, inverse=True) - 0.5 * (O @ K + K @ O)
+        jumps = self._S["A"].conj().T @ R + R @ self._S["B"].conj()
+        return self._regroup(jumps, inverse=True) - 0.5 * (O @ self._K + self._K @ O)
 
     def step(self, rho: np.ndarray, dt: float) -> np.ndarray:
         """One classical RK4 step as a new array; dt may be negative.

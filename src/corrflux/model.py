@@ -211,6 +211,13 @@ def build_thermal_channels(
         raise ShapeError(
             f"local Hamiltonian dim {energies.shape[0]} does not match side {bath_tag} dim {d_local}"
         )
+    # A finite spread bounds every level gap, so no difference below can overflow.
+    with np.errstate(over="ignore"):
+        spread = float(energies[-1] - energies[0])
+    if not math.isfinite(spread):
+        raise ValidationError(
+            f"side {bath_tag}: the local spectrum spans {spread:.6g}, beyond the float range of its level gaps"
+        )
     if d_local > 1 and float(np.diff(energies).min()) < DEGENERACY_GAP:
         raise DegenerateSpectrumError(
             f"local spectrum on side {bath_tag} has a gap below {DEGENERACY_GAP:.1e}; "

@@ -266,10 +266,10 @@ def random_thermal_system(rng, d_A=2, d_B=2, beta_max=1.0):
     return system, betas
 
 
-def reference_write_records_json(records, path):
-    """The JSON table through json.dump: one object per record, indent 2, a final
-    newline, and null for a non-finite value."""
-    data = [{col: float(getattr(rec, col)) for col in COLUMNS} for rec in records]
+def reference_write_records_json(table, path):
+    """The JSON table through json.dump: one object per row, keyed by COLUMNS, indent 2,
+    a final newline, and null for a non-finite value."""
+    data = [{col: float(row[j]) for j, col in enumerate(COLUMNS)} for row in table]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         try:
             json.dump(data, fh, indent=2, allow_nan=False)
@@ -280,11 +280,11 @@ def reference_write_records_json(records, path):
         fh.write("\n")
 
 
-def reference_write_records_csv(records, path):
-    """The CSV table cell by cell: the header of COLUMNS, then one line per record
+def reference_write_records_csv(table, path):
+    """The CSV table cell by cell: the header of COLUMNS, then one line per row
     with each value written by f"{float(x):.17g}"."""
     lines = [",".join(COLUMNS)]
-    for rec in records:
-        lines.append(",".join(f"{float(getattr(rec, col)):.17g}" for col in COLUMNS))
+    for row in table:
+        lines.append(",".join(f"{float(row[j]):.17g}" for j in range(len(COLUMNS))))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

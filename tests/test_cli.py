@@ -74,13 +74,12 @@ def test_run_csv_values_match_library_pipeline(tmp_path):
         scenario.dt,
         record_every=scenario.record_every,
     )
-    records = cli.compute_records(scenario.system, traj)
+    table = cli.compute_records(scenario.system, traj)
+    assert table.dtype == np.float64 and table.flags.c_contiguous
     _, rows = read_csv(out)
-    assert len(rows) == len(records)
-    for row, rec in zip(rows, records):
-        for j, col in enumerate(cli.COLUMNS):
-            # 17 significant digits round-trip doubles exactly
-            assert row[j] == float(getattr(rec, col))
+    assert table.shape == (len(rows), len(cli.COLUMNS))
+    # 17 significant digits round-trip doubles exactly
+    assert rows == table.tolist()
 
 
 def test_run_json_format_round_trips(tmp_path):
@@ -99,11 +98,8 @@ def test_run_json_format_round_trips(tmp_path):
         scenario.dt,
         record_every=scenario.record_every,
     )
-    records = cli.compute_records(scenario.system, traj)
-    assert len(data) == len(records)
-    for entry, rec in zip(data, records):
-        for col in cli.COLUMNS:
-            assert entry[col] == float(getattr(rec, col))
+    table = cli.compute_records(scenario.system, traj)
+    assert [[entry[col] for col in cli.COLUMNS] for entry in data] == table.tolist()
 
 
 def test_run_zero_horizon_single_row(tmp_path):
@@ -213,11 +209,16 @@ def test_run_json_of_a_diverged_run_writes_null_for_non_finite_values(tmp_path):
     assert isinstance(rows[0]["U"], float) and rows[-1]["U"] is None
 
 
-def assert_json_writers_agree(records, tmp_path):
+def records_table(rows):
+    """A record table of the given rows: one float64 row per record, in COLUMNS order."""
+    return np.array(rows, dtype=float).reshape(-1, len(cli.COLUMNS))
+
+
+def assert_json_writers_agree(table, tmp_path):
     """The row-template writer and json.dump write the same bytes; returns the text."""
     ours, reference = tmp_path / "ours.json", tmp_path / "reference.json"
-    cli.write_records_json(records, ours)
-    reference_write_records_json(records, reference)
+    cli.write_records_json(table, ours)
+    reference_write_records_json(table, reference)
     assert ours.read_bytes() == reference.read_bytes()
     return ours.read_text(encoding="utf-8")
 
@@ -257,55 +258,52 @@ def test_write_records_json_equals_json_dump_on_a_diverged_run(tmp_path):
 EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1]
 
 
-def edge_records(cast=float):
+def edge_rows():
     """One record holding each edge value once, then records cycling through all of them."""
     width = len(cli.COLUMNS)
     once = [EDGE_VALUES[i] if i < len(EDGE_VALUES) else 1.0 for i in range(width)]
     cycled = [[EDGE_VALUES[(i + j) % len(EDGE_VALUES)] for j in range(width)] for i in range(len(EDGE_VALUES))]
-    return [cli.RunRecord(*map(cast, row)) for row in [once, *cycled]]
+    return [once, *cycled]
 
 
 def test_write_records_json_equals_json_dump_on_edge_values(tmp_path):
-    text = assert_json_writers_agree(edge_records(), tmp_path)
+    text = assert_json_writers_agree(records_table(edge_rows()), tmp_path)
     for value in EDGE_VALUES:
         assert f": {value!r}" in text
     assert str(json.loads(text)[0]["t"]) == "-0.0"
 
 
 def test_write_records_json_of_no_records(tmp_path):
-    assert assert_json_writers_agree([], tmp_path) == "[]\n"
+    assert assert_json_writers_agree(records_table([]), tmp_path) == "[]\n"
 
 
 def test_write_records_json_writes_numpy_floats_as_plain_numbers(tmp_path):
-    # Under numpy 2, repr(np.float64(0.1)) is "np.float64(0.1)".
-    records = edge_records(np.float64)
-    text = assert_json_writers_agree(records, tmp_path)
-    assert "np." not in text
-    assert text == assert_json_writers_agree(edge_records(), tmp_path)
+    # Every cell of the table is an np.float64, and under numpy 2 repr(np.float64(0.1))
+    # is "np.float64(0.1)"; that holds for the finite path and the per-cell path alike.
+    for rows in (edge_rows(), [*edge_rows(), [math.nan] * len(cli.COLUMNS)]):
+        assert "np." not in assert_json_writers_agree(records_table(rows), tmp_path)
 
 
 @st.composite
 def record_tables(draw):
-    """Up to six records of one cell type, either all finite or with non-finite values allowed."""
+    """Tables of up to six records, either all finite or with non-finite values allowed."""
     finite = draw(st.booleans())
-    cast = draw(st.sampled_from([float, np.float64]))
-    cells = st.floats(allow_nan=not finite, allow_infinity=not finite).map(cast)
+    cells = st.floats(allow_nan=not finite, allow_infinity=not finite)
     width = len(cli.COLUMNS)
-    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=6))
-    return [cli.RunRecord(*row) for row in rows]
+    return records_table(draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=6)))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(record_tables())
-def test_write_records_json_equals_json_dump_on_random_rows(tmp_path, records):
-    assert_json_writers_agree(records, tmp_path)
+def test_write_records_json_equals_json_dump_on_random_rows(tmp_path, table):
+    assert_json_writers_agree(table, tmp_path)
 
 
-def assert_csv_writers_agree(records, tmp_path):
+def assert_csv_writers_agree(table, tmp_path):
     """The row-template writer and the cell-by-cell writer write the same bytes; returns the text."""
     ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
-    cli.write_records_csv(records, ours)
-    reference_write_records_csv(records, reference)
+    cli.write_records_csv(table, ours)
+    reference_write_records_csv(table, reference)
     assert ours.read_bytes() == reference.read_bytes()
     return ours.read_text(encoding="utf-8")
 
@@ -327,26 +325,20 @@ def test_write_records_csv_equals_the_cell_writer_on_a_diverged_run(tmp_path):
 
 
 def test_write_records_csv_equals_the_cell_writer_on_edge_values(tmp_path):
-    special = cli.RunRecord(*[math.nan, math.inf, -math.inf] * 4, 0.0, 1.0)
-    lines = assert_csv_writers_agree([*edge_records(), special], tmp_path).splitlines()
+    special = [*[math.nan, math.inf, -math.inf] * 4, 0.0, 1.0]
+    lines = assert_csv_writers_agree(records_table([*edge_rows(), special]), tmp_path).splitlines()
     assert lines[1].startswith("-0,4.9406564584124654e-324,1.7976931348623157e+308,10000000000000000,0.10000000000000001,1,")
     assert lines[-1] == "nan,inf,-inf," * 4 + "0,1"
 
 
 def test_write_records_csv_of_no_records(tmp_path):
-    assert assert_csv_writers_agree([], tmp_path) == EXPECTED_HEADER + "\n"
-
-
-def test_write_records_csv_writes_numpy_and_integer_cells_as_floats(tmp_path):
-    assert assert_csv_writers_agree(edge_records(np.float64), tmp_path) == assert_csv_writers_agree(edge_records(), tmp_path)
-    mixed = cli.RunRecord(np.float32(0.1), 3, True, False, *[np.float64(0.5)] * 10)
-    assert assert_csv_writers_agree([mixed], tmp_path).splitlines()[1].startswith("0.10000000149011612,3,1,0,0.5,")
+    assert assert_csv_writers_agree(records_table([]), tmp_path) == EXPECTED_HEADER + "\n"
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(record_tables())
-def test_write_records_csv_equals_the_cell_writer_on_random_rows(tmp_path, records):
-    assert_csv_writers_agree(records, tmp_path)
+def test_write_records_csv_equals_the_cell_writer_on_random_rows(tmp_path, table):
+    assert_csv_writers_agree(table, tmp_path)
 
 
 def test_sweep_of_a_diverged_point_writes_nan_sign(tmp_path):
@@ -382,15 +374,15 @@ def test_compute_records_reports_overflow_without_numpy_warnings():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        records = cli.compute_records(system, trajectory(rho, diverged))
-    assert np.isfinite(records[0].U) and not np.isfinite(records[1].dU_dt)
+        table = cli.compute_records(system, trajectory(rho, diverged))
+    assert np.isfinite(column(table, "U")[0]) and not np.isfinite(column(table, "dU_dt")[1])
     # A run of finite states whose ledger overflows gets one warning of its own, and none from numpy.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        records = cli.compute_records(system, trajectory(rho, 1e200 * rho))
+        table = cli.compute_records(system, trajectory(rho, 1e200 * rho))
     assert [w.category for w in caught] == [NumericalConsistencyWarning]
     assert str(caught[0].message) == "ledger is not finite at 1 of 2 records, first at t = 1"
-    assert np.isfinite(records[0].U_chi) and not np.isfinite(records[1].U_chi)
+    assert np.isfinite(column(table, "U_chi")).tolist() == [True, False]
 
 
 @pytest.mark.parametrize("command", ["run", "run-json", "example", "sweep"])
@@ -478,6 +470,20 @@ def test_sweep_over_c_signs(tmp_path):
         assert int(sign) == expected_sign
     for index in range(5):
         assert (outdir / f"sweep_c_{index}.csv").exists()
+
+
+def test_sweep_summary_is_the_change_of_u_chi_in_each_point_file(tmp_path):
+    scenario, _ = write_scenario(tmp_path)
+    outdir = tmp_path / "sweep_c"
+    argv = ["sweep", str(scenario), "--param", "c", "--min", "-0.01", "--max", "0.03", "--steps", "3"]
+    assert cli.main([*argv, "--output-dir", str(outdir)]) == 0
+    summary = (outdir / "summary.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(summary) == 3
+    for index, line in enumerate(summary):
+        _, rows = read_csv(outdir / f"sweep_c_{index}.csv")
+        u_chi = column(rows, "U_chi")
+        delta = float(line.split(",")[1])
+        assert delta != 0.0 and delta == u_chi[-1] - u_chi[0]
 
 
 def test_sweep_over_g_matches_closed_form(tmp_path):

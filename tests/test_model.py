@@ -198,6 +198,17 @@ def test_build_thermal_channels_at_a_huge_beta():
             build_thermal_channels(SIGMA_Z, ThermalBathSpec(beta, {(0, 1): 1.0}), "A", shape)
 
 
+def test_build_thermal_channels_rejects_a_spectrum_whose_spread_overflows():
+    # Levels (-1e308, 0, 1e308): the neighbouring gaps are finite, the spread is not.
+    bath = ThermalBathSpec(beta=1.0, base_rates={(1, 0): 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^side B: the local spectrum spans inf"):
+            build_thermal_channels(np.diag([-1e308, 0.0, 1e308]), bath, "B", BipartiteShape(1, 3))
+        with pytest.raises(ValidationError, match="^side A: the local spectrum spans inf"):
+            build_thermal_channels(1e308 * SIGMA_Z, bath, "A", BipartiteShape(2, 1))
+
+
 def test_build_thermal_channels_degenerate_spectrum():
     shape = BipartiteShape(2, 1)
     bath = ThermalBathSpec(beta=1.0, base_rates={(1, 0): 1.0})

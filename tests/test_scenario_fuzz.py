@@ -38,6 +38,7 @@ MATRICES = [
     matrix_to_json(np.eye(3)),
     matrix_to_json(1e308 * np.ones((2, 2))),
     matrix_to_json(1e308 * np.ones((4, 4))),
+    matrix_to_json(1e308 * np.diag([1, -1])),
     [[float("nan"), 0.0]] * 4,
     [["1", 0.0]] * 4,
     [[1.0, 0.0]],
