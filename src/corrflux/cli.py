@@ -177,11 +177,7 @@ def _sign(value: float) -> str:
 def _cmd_sweep(args) -> int:
     if args.steps < 1:
         raise model.ValidationError(f"--steps must be >= 1, got {args.steps}")
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        try:
-            base = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise model.ValidationError(f"{args.scenario}: invalid JSON: {exc}") from exc
+    base = model.load_document(args.scenario)
     os.makedirs(args.output_dir, exist_ok=True)
     safe_param = re.sub(r"[^A-Za-z0-9_.-]", "_", args.param)
 

@@ -54,9 +54,9 @@ def commutator_residual(system: model.BipartiteSystem, rho: np.ndarray):
 def adjoint_residual(system: model.BipartiteSystem) -> float:
     """Residual (ii), state independent: ||D#_A[H] + D#_B[H]||_F.
 
-    NaN when D#[H] itself overflowed (see energetics.energy_operators).
+    NaN when D#[H] itself overflowed (see dynamics.generator_of).
     """
-    adj_H = energetics.energy_operators(system)[1]
+    adj_H = dynamics.generator_of(system).adjoint_H
     if not np.isfinite(adj_H).all():
         return float("nan")
     return frobenius_norm(adj_H)

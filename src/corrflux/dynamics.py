@@ -10,8 +10,8 @@ its jump channels. The Hilbert-Schmidt adjoint of the dissipative part,
     D#[O] = sum_k gamma_k (L_k† O L_k - (1/2){O, L_k†L_k}),
 
 drives observable expectations: d<O>/dt = Tr[D#[O] rho] for [H, O] = 0.
-Both are methods of Generator, the one encoding of the channel sum; the
-RK4 stepper, the energy ledger and condition (ii) all apply it.
+Both are methods of Generator, the one encoding of the channel sum; the RK4
+stepper, the energy ledger and condition (ii) share generator_of's one copy.
 Integration is fixed-step classical RK4 with no renormalization; trace
 and positivity are monitored per record and reported, never silently
 repaired.
@@ -20,6 +20,7 @@ repaired.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "TrajectoryDiagnosticsWarning",
     "Trajectory",
     "Generator",
+    "generator_of",
     "integrate",
 ]
 
@@ -56,7 +58,7 @@ class Generator:
 
     with H_eff = H - (i/2) K, R the state regrouped from (a b, a' b')
     to (a a', b b') and [.] the regrouping back: four matrix products whatever
-    the channel count, broadcast over stacks of states.
+    the channel count, broadcast over stacks of states. H and adjoint_H = D#[H] are read-only.
     """
 
     def __init__(self, system: model.BipartiteSystem):
@@ -76,6 +78,9 @@ class Generator:
         self._A = -1j * self.H_eff
         self._A_dag = np.ascontiguousarray(self._A.conj().T)
         self._S_B_T = np.ascontiguousarray(self._S["B"].T)
+        self.adjoint_H = self.adjoint(self.H)
+        self.H.setflags(write=False)
+        self.adjoint_H.setflags(write=False)
 
     def _regroup(self, m: np.ndarray, inverse: bool = False) -> np.ndarray:
         """(..., a b, a' b') to (..., a a', b b'), or back with inverse=True."""
@@ -121,6 +126,24 @@ class Generator:
             x *= dt / j
             x += rho
         return x
+
+
+# A generator depends on its system alone. Systems are immutable and compare by
+# identity, so each is compiled once per system object for as long as it lives.
+_GENERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def generator_of(system: model.BipartiteSystem) -> Generator:
+    """The system's Generator, compiled on first use and shared by every later caller.
+
+    Energies or rates so large that the channel sums, H or D#[H] overflow leave them
+    non-finite with no numpy warning; such a system's run diverges, and integrate reports that.
+    """
+    generator = _GENERATORS.get(system)
+    if generator is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            generator = _GENERATORS[system] = Generator(system)
+    return generator
 
 
 @dataclass(eq=False)
@@ -235,7 +258,7 @@ def integrate(
     if not n_full < np.iinfo(np.intp).max:
         raise model.ValidationError(f"t_final = {t_final} and dt = {dt} give a step count beyond the index range")
     n_full = int(n_full)
-    generator = Generator(system)
+    generator = generator_of(system)
     remainder = t_final - n_full * dt
     if remainder < 1e-12 * max(dt, 1.0):
         remainder = 0.0

@@ -38,7 +38,6 @@ column with one entry per state.
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,6 @@ __all__ = [
     "EnergyLedger",
     "decompose",
     "effective_hamiltonians",
-    "energy_operators",
     "energy_ledger",
     "delta_U_chi",
 ]
@@ -181,29 +179,6 @@ class EnergyLedger:
                 )
 
 
-# H and D#[H] depend on the system alone. Systems are immutable and compare by
-# identity, so the pair is kept per system object for as long as it lives.
-_ENERGY_OPERATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def energy_operators(system: model.BipartiteSystem) -> tuple[np.ndarray, np.ndarray]:
-    """H and D#[H] of a system, so that U = Tr[H rho] and dU/dt = Tr[D#[H] rho].
-
-    Computed once per system and returned read-only. Energies or rates so large
-    that H or D#[H] overflows leave it non-finite rather than raising numpy
-    warnings; such a system's run diverges, and integrate reports that.
-    """
-    pair = _ENERGY_OPERATORS.get(system)
-    if pair is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            generator = dynamics.Generator(system)
-            pair = (generator.H, generator.adjoint(generator.H))
-        for array in pair:
-            array.setflags(write=False)
-        _ENERGY_OPERATORS[system] = pair
-    return pair
-
-
 def energy_ledger(system: model.BipartiteSystem, rho: np.ndarray) -> EnergyLedger:
     """Evaluate every energy account and rate at the state rho, or at each state of a stack.
 
@@ -215,18 +190,18 @@ def energy_ledger(system: model.BipartiteSystem, rho: np.ndarray) -> EnergyLedge
     with np.errstate(over="ignore", invalid="ignore"):
         dec = decompose(rho, system.shape)
         eff = effective_hamiltonians(system, dec)
-        H, adj_H = energy_operators(system)
+        generator = dynamics.generator_of(system)
 
-        dU_dt = _real_trace(adj_H, rho, "dU_dt")
+        dU_dt = _real_trace(generator.adjoint_H, rho, "dU_dt")
         dU_prod_dt = _real_trace(eff.drive, dec.chi, "coherent part of dU_prod_dt") + _real_trace(
-            adj_H, dec.product, "dissipative part of dU_prod_dt"
+            generator.adjoint_H, dec.product, "dissipative part of dU_prod_dt"
         )
         # EnergyLedger checks its identities inside the errstate as well.
         return EnergyLedger(
-            U=_real_trace(rho, H, "U"),
+            U=_real_trace(rho, generator.H, "U"),
             U_A=_real_trace(dec.rho_A, eff.H_hat_A, "U_A"),
             U_B=_real_trace(dec.rho_B, eff.H_hat_B, "U_B"),
-            U_prod=_real_trace(dec.product, H, "U_prod"),
+            U_prod=_real_trace(dec.product, generator.H, "U_prod"),
             U_chi=_real_trace(dec.chi, system.V, "U_chi"),
             dU_prod_dt=dU_prod_dt,
             dU_chi_dt=dU_dt - dU_prod_dt,

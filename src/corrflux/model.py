@@ -53,6 +53,7 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_json",
     "parse_scenario",
+    "load_document",
     "load_scenario",
 ]
 
@@ -558,11 +559,15 @@ def parse_scenario(document: dict) -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
-    """Read and parse a scenario JSON file."""
+def load_document(path):
+    """The JSON value in a scenario file, not yet validated."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            document = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_scenario(document)
+
+
+def load_scenario(path) -> Scenario:
+    """Read and parse a scenario JSON file."""
+    return parse_scenario(load_document(path))

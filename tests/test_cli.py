@@ -603,6 +603,20 @@ def test_sweep_rejects_bad_parameters(tmp_path, capsys):
     assert rc == 1
 
 
+def test_every_command_reports_a_malformed_scenario_file_alike(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{oops", encoding="utf-8")
+    for argv in (
+        ["run", str(bad), "--output", str(tmp_path / "o.csv")],
+        ["check-conditions", str(bad)],
+        ["sweep", str(bad), "--param", "c", "--min", "0", "--max", "1", "--steps", "2",
+         "--output-dir", str(tmp_path / "sweep")],
+    ):
+        assert cli.main(argv) == 1
+        assert f"error: {bad}: invalid JSON: " in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_check_conditions_report(tmp_path, capsys):
     scenario, _ = write_scenario(tmp_path)
     rc = cli.main(["check-conditions", str(scenario), "--samples", "5", "--seed", "3"])

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from corrflux.conditions import commutator_residual
-from corrflux.dynamics import Generator, integrate
+from corrflux import cli
+from corrflux.dynamics import Generator, generator_of, integrate
 from corrflux.energetics import (
     EnergyLedger,
     NumericalConsistencyWarning,
@@ -15,7 +16,6 @@ from corrflux.energetics import (
     delta_U_chi,
     effective_hamiltonians,
     energy_ledger,
-    energy_operators,
 )
 from corrflux.linalg import (
     SIGMA_Z,
@@ -322,7 +322,7 @@ def test_an_overflowing_ledger_is_returned_without_numpy_warnings():
         ledger = energy_ledger(system, rho)
         stacked = energy_ledger(system, np.stack([rho, rho]))
         eff = effective_hamiltonians(system, decompose(rho, system.shape))
-        H, _ = energy_operators(huge_H)
+        H = generator_of(huge_H).H
         huge = energy_ledger(huge_H, rho)
     assert not np.isfinite(H).all()
     assert np.isfinite([ledger.U, ledger.U_A, ledger.U_B, ledger.U_prod, ledger.U_chi]).all()
@@ -332,13 +332,29 @@ def test_an_overflowing_ledger_is_returned_without_numpy_warnings():
     assert np.isfinite([huge.U_A, huge.U_B]).all() and np.isnan([huge.U, huge.U_prod]).all()
 
 
-def test_energy_operators_are_computed_once_and_read_only():
+def test_generator_of_is_compiled_once_and_read_only():
     rng = np.random.default_rng(62)
     system = random_system(rng)
-    H, adj_H = energy_operators(system)
-    assert energy_operators(system)[1] is adj_H
-    generator = Generator(system)
-    assert np.array_equal(H, generator.H)
-    assert np.array_equal(adj_H, generator.adjoint(generator.H))
-    with pytest.raises(ValueError):
-        adj_H[0, 0] = 0.0
+    generator = generator_of(system)
+    assert generator_of(system) is generator
+    assert np.array_equal(generator.H, total_hamiltonian(system))
+    assert np.array_equal(generator.adjoint_H, Generator(system).adjoint(total_hamiltonian(system)))
+    for array in (generator.H, generator.adjoint_H):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
+
+def test_a_run_and_its_record_table_build_one_generator(monkeypatch):
+    builds = []
+    init = Generator.__init__
+
+    def counted(self, system):
+        builds.append(system)
+        init(self, system)
+
+    monkeypatch.setattr(Generator, "__init__", counted)
+    scenario = parse_scenario(scenario_document(ExampleParams(**STANDARD), 0.05, 1e-3, 10))
+    system = scenario.system
+    trajectory = integrate(system, scenario.initial_state, scenario.t_final, scenario.dt, scenario.record_every)
+    cli.compute_records(system, trajectory)
+    assert builds == [system]

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrflux import cli
+from corrflux.linalg import SIGMA_Z
 from corrflux.model import ValidationError, matrix_to_json, parse_scenario
 from corrflux.twoqubit import ExampleParams, scenario_document
 
@@ -120,6 +121,8 @@ def _commands(scenario, workdir):
 @example([(("V", "g"), 1e308)])
 @example([(("V",), MATRICES[2])])
 @example([(("V", "g"), 1e308), (("integration", "t_final"), 0)])
+# Two side-A rates of 1e308: the generator's channel sums overflow.
+@example([(("channels",), [{"side": "A", "rate": 1e308, "operator": matrix_to_json(SIGMA_Z)}] * 2)])
 def test_cli_exits_with_a_status_and_no_numpy_warning(mutations):
     """Each command returns 0, 1 or 2, lets no exception escape, raises no
     RuntimeWarning, and prints only strict JSON."""
